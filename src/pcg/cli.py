@@ -22,10 +22,17 @@ from .coloring import (
     parse,
     render,
 )
-from .diagonals import diagonal_classes, shift_residue_class
+from .diagonals import ShiftCompatibilityError, diagonal_classes, shift_residue_class
 from .grid import Orientation
 from .orbits import orbit_report
-from .perfect import NotPerfectError, Violation, check, quotient, stationary
+from .perfect import (
+    DetailedBalanceError,
+    NotPerfectError,
+    Violation,
+    check,
+    quotient,
+    stationary,
+)
 from .search import SearchSpec, classify, enumerate_colorings
 from .twins import TwinMergeError, dichotomy_audit, merge, twin_pairs
 
@@ -86,11 +93,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_quotient(args) -> int:
     F = _load(args.file)
-    try:
-        S = quotient(F)
-    except NotPerfectError as e:
-        print(e, file=sys.stderr)
-        return 1
+    S = quotient(F)
     if args.json:
         print(json.dumps({"tokens": list(F.tokens), "matrix": [list(r) for r in S]}))
     else:
@@ -122,12 +125,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_twins(args) -> int:
     F = _load(args.file)
-    try:
-        S = quotient(F)
-    except NotPerfectError as e:
-        print(e, file=sys.stderr)
-        return 1
-    pairs = twin_pairs(S)
+    pairs = twin_pairs(quotient(F))
     for a, b in pairs:
         print(F.tokens[a - 1], F.tokens[b - 1])
     return 0 if pairs else 1
@@ -136,15 +134,9 @@ def _cmd_twins(args) -> int:
 def _cmd_merge(args) -> int:
     F = _load(args.file)
     a, b = _color_id(F, args.a), _color_id(F, args.b)
-    try:
-        M = merge(F, a, b)
-    except NotPerfectError as e:
-        print(e, file=sys.stderr)
-        return 1
-    except TwinMergeError as e:
-        print(e, file=sys.stderr)
-        return 1
-    _save(args.output, render(M))
+    if a == b:
+        raise _Usage(f"A and B must be two different colors, got {args.a!r} twice")
+    _save(args.output, render(merge(F, a, b)))
     return 0
 
 
@@ -185,11 +177,7 @@ def _cmd_diagonals(args) -> int:
 def _cmd_shift(args) -> int:
     F = _load(args.file)
     o = Orientation(args.orientation)
-    try:
-        G = shift_residue_class(F, o, args.residue, args.modulus, args.offset)
-    except ValueError as e:
-        print(e, file=sys.stderr)
-        return 1
+    G = shift_residue_class(F, o, args.residue, args.modulus, args.offset)
     _save(args.output, render(G))
     return 0
 
@@ -201,12 +189,7 @@ def _cmd_enumerate(args) -> int:
         raise _Usage(str(e)) from None
     S = None
     if args.quotient:
-        Q = _load(args.quotient)
-        try:
-            S = quotient(Q)
-        except NotPerfectError as e:
-            print(e, file=sys.stderr)
-            return 1
+        S = quotient(_load(args.quotient))
     try:
         spec = SearchSpec(lat, args.colors, quotient=S, surjective=not args.lax)
     except ValueError as e:
@@ -230,11 +213,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_stationary(args) -> int:
     F = _load(args.file)
-    try:
-        P = stationary(quotient(F))
-    except (NotPerfectError, ValueError) as e:
-        print(e, file=sys.stderr)
-        return 1
+    P = stationary(quotient(F))
     if args.json:
         print(
             json.dumps(
@@ -249,11 +228,7 @@ def _cmd_stationary(args) -> int:
 
 def _cmd_audit(args) -> int:
     F = _load(args.file)
-    try:
-        rep = dichotomy_audit(F)
-    except NotPerfectError as e:
-        print(e, file=sys.stderr)
-        return 1
+    rep = dichotomy_audit(F)
     if args.json:
         print(json.dumps(rep.to_json_dict()))
     else:
@@ -280,6 +255,16 @@ def _cmd_fixture(args) -> int:
         ) from None
     sys.stdout.write(render(F))
     return 0
+
+
+def _positive(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -331,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--orientation", required=True, choices=[o.value for o in Orientation]
     )
     p.add_argument("--residue", type=int, required=True)
-    p.add_argument("--modulus", type=int, required=True)
+    p.add_argument("--modulus", type=_positive, required=True)
     p.add_argument("--offset", type=int, required=True)
     p.add_argument("-o", "--output", required=True)
 
@@ -343,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quotient", help="PCG file whose quotient constrains the search")
     p.add_argument("--report", action="store_true")
     p.add_argument("--lax", action="store_true", help="allow fewer than --colors")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive, default=1)
 
     p = cmd("stationary", _cmd_stationary, "color distribution of the quotient")
     p.add_argument("file")
@@ -373,6 +358,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _Usage as e:
         print(e, file=sys.stderr)
         return 2
+    except (
+        NotPerfectError,
+        TwinMergeError,
+        DetailedBalanceError,
+        ShiftCompatibilityError,
+    ) as e:
+        # a well-formed input that lacks the property the command needs
+        print(e, file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

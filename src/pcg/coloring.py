@@ -22,9 +22,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence, TypeVar
 
 from .grid import GridAutomorphism, Mat2, Vec2, d4_elements, mat_apply
+
+_Sym = TypeVar("_Sym")
 
 TOKEN_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _HEADER = "# pcg v1"
@@ -343,12 +345,16 @@ def parse(text: str) -> PeriodicColoring:
 
 def render(F: PeriodicColoring, ids: bool = False) -> str:
     """PCG text for F; with ids=True tokens are the numeric color ids."""
-    lat = F.lattice
     toks = tuple(str(i) for i in range(1, F.n + 1)) if ids else F.tokens
     width = max(len(t) for t in toks)
-    lines = [_HEADER, f"periods ({lat.w},0) ({lat.s},{lat.h})"]
-    for row in F.rows:
-        lines.append(" ".join(toks[c - 1].ljust(width) for c in row).rstrip())
+    return _text(F.lattice, [toks[c - 1].ljust(width) for row in F.rows for c in row])
+
+
+def _text(lat: Lattice, cells: Sequence[str]) -> str:
+    """PCG text for a row-major block of equal-width tokens on `lat`."""
+    w = lat.w
+    lines = [_HEADER, f"periods ({w},0) ({lat.s},{lat.h})"]
+    lines += (" ".join(cells[i : i + w]).rstrip() for i in range(0, len(cells), w))
     return "\n".join(lines) + "\n"
 
 
@@ -369,50 +375,65 @@ def maximal_periods(F: PeriodicColoring) -> Lattice:
     return Lattice.from_vectors(*vecs)
 
 
+def least_translation(
+    flat: Sequence[int], lattice: Lattice, symbols: Sequence[_Sym]
+) -> tuple[_Sym, ...]:
+    """Least first-occurrence relabeling of a cell block over torus translations.
+
+    `flat` holds the colors 1..n (n <= len(symbols)) of the fundamental
+    domain of `lattice`, row-major. Each translation of the torus is read
+    row-major with its k-th new color (counting from 0) written as
+    ``symbols[k]``; the least of the resulting tuples is returned.
+    """
+    w, s, h = lattice.w, lattice.s, lattice.h
+    # doubled rows turn every cyclic shift of a row into one slice
+    rows = [flat[i : i + w] * 2 for i in range(0, h * w, w)]
+    unset: list[Optional[_Sym]] = [None] * (len(symbols) + 1)
+    best: Optional[tuple[_Sym, ...]] = None
+    for ty in range(h):
+        for tx in range(w):
+            # node (x, y) of the moved block shows node (x - tx, y - ty)
+            perm = unset[:]
+            fresh = iter(symbols)
+            out = []
+            for y in range(h):
+                k, r = divmod(y - ty, h)
+                cut = -(tx + k * s) % w
+                for c in rows[r][cut : cut + w]:
+                    p = perm[c]
+                    if p is None:
+                        perm[c] = p = next(fresh)
+                    out.append(p)
+            cand = tuple(out)
+            if best is None or cand < best:
+                best = cand
+    assert best is not None
+    return best
+
+
 @lru_cache(maxsize=None)
 def canonical(F: PeriodicColoring) -> str:
     """Least PCG rendering of F over point transforms, translations,
     and first-occurrence relabeling, on the maximal period lattice.
 
     Two colorings are related by a grid automorphism plus a color
-    permutation exactly when their canonical strings are equal. The
-    inner loop builds each candidate string directly rather than
-    through coloring objects; it must stay byte-equivalent to
-    ``render(T.translate(t).relabel_first_occurrence(), ids=True)``.
+    permutation exactly when their canonical strings are equal.
+    ``test_canonical_matches_definition`` in tests/test_coloring.py
+    checks this against the definition, the least of
+    ``render(base.transform(g).translate(t).relabel_first_occurrence(), ids=True)``.
     """
     base = F.rebase(maximal_periods(F))
-    n = base.n
-    toks = tuple(str(i) for i in range(1, n + 1))
-    width = max(len(t) for t in toks)
-    padded = tuple(t.ljust(width) for t in toks)
+    width = len(str(base.n))
+    # Padded ids order like the rendered text ("1 " < "10" < "2 "); ints
+    # would not once there are ten colors.
+    symbols = tuple(str(i).ljust(width) for i in range(1, base.n + 1))
     best: Optional[str] = None
     for g in d4_elements():
         T = base.transform(GridAutomorphism(g, (0, 0)))
-        lat = T.lattice
-        w, s, h = lat.w, lat.s, lat.h
         flat = [c for row in T.rows for c in row]
-        header = f"{_HEADER}\nperiods ({w},0) ({s},{h})\n"
-        for ty in range(h):
-            for tx in range(w):
-                perm = [0] * (n + 1)
-                next_id = 1
-                lines = []
-                for y in range(h):
-                    k = (y - ty) // h
-                    rowbase = (y - ty - k * h) * w
-                    shift = tx + k * s
-                    line = []
-                    for x in range(w):
-                        c = flat[rowbase + (x - shift) % w]
-                        p = perm[c]
-                        if p == 0:
-                            perm[c] = p = next_id
-                            next_id += 1
-                        line.append(padded[p - 1])
-                    lines.append(" ".join(line).rstrip())
-                cand = header + "\n".join(lines) + "\n"
-                if best is None or cand < best:
-                    best = cand
+        cand = _text(T.lattice, least_translation(flat, T.lattice, symbols))
+        if best is None or cand < best:
+            best = cand
     assert best is not None
     return best
 

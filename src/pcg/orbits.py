@@ -32,11 +32,6 @@ class StabilizerGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, aut: GridAutomorphism) -> bool:
-        return (aut.point, self.lattice.reduce(aut.shift)) in {
-            (e.point, e.shift) for e in self.elements
-        }
-
 
 @lru_cache(maxsize=None)
 def stabilizer(F: PeriodicColoring) -> StabilizerGroup:

@@ -21,10 +21,18 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
 from dataclasses import dataclass
 from typing import Optional
 
-from .coloring import Lattice, PeriodicColoring, canonical, maximal_periods, parse
+from .coloring import (
+    Lattice,
+    PeriodicColoring,
+    canonical,
+    least_translation,
+    maximal_periods,
+    parse,
+)
 from .diagonals import DiagonalClass, find_special_diagonals
 from .grid import neighbors
 from .orbits import is_orbit
@@ -223,35 +231,6 @@ class _Engine:
                 self._search(depth + 1, forced, stop, prefixes)
             self.undo_to(m)
 
-    def _translation_key(self) -> tuple[int, ...]:
-        """Least first-occurrence relabeling over torus translations."""
-        lat = self.spec.lattice
-        w, s, h = lat.w, lat.s, lat.h
-        flat = self.color
-        n = self.num_used
-        best: Optional[tuple[int, ...]] = None
-        for ty in range(h):
-            for tx in range(w):
-                perm = [0] * (n + 1)
-                next_id = 1
-                out = []
-                for y in range(h):
-                    k = (y - ty) // h
-                    rowbase = (y - ty - k * h) * w
-                    shift = tx + k * s
-                    for x in range(w):
-                        c = flat[rowbase + (x - shift) % w]
-                        p = perm[c]
-                        if p == 0:
-                            perm[c] = p = next_id
-                            next_id += 1
-                        out.append(p)
-                key = tuple(out)
-                if best is None or key < best:
-                    best = key
-        assert best is not None
-        return best
-
     def _leaf(self) -> None:
         spec = self.spec
         k = self.num_used
@@ -261,7 +240,7 @@ class _Engine:
             S = tuple(tuple(self.estab[c][:k]) for c in range(1, k + 1))
             if not matrices_conjugate(S, spec.quotient):
                 return
-        key = self._translation_key()
+        key = least_translation(self.color, spec.lattice, range(k))
         if key in self.seen:
             return
         self.seen.add(key)
@@ -299,8 +278,10 @@ def enumerate_colorings(
     otherwise up to max_colors. A quotient constraint accepts a
     coloring when its matrix equals the given one up to a simultaneous
     permutation of the colors. jobs > 1 splits the search tree across
-    processes; the result is identical either way.
+    processes, never more than os.cpu_count(); the result is identical
+    either way.
     """
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         eng = _Engine(spec)
         eng.run()

@@ -28,20 +28,6 @@ NEAR_OFFSETS: tuple[Vec2, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class TargetGraph:
-    """The simple graph a covering maps onto; vertices are the colors."""
-
-    adjacency: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.adjacency)
-
-    def degree(self, v: int) -> int:
-        return sum(self.adjacency[v - 1])
-
-
 class TwinMergeError(ValueError):
     def __init__(self, a: int, b: int, column: int):
         self.column = column
@@ -112,11 +98,11 @@ def covering_failure(S: QuotientMatrix) -> Optional[str]:
     return None
 
 
-def covering_target(S: QuotientMatrix) -> Optional[TargetGraph]:
-    """The target graph when S is its adjacency matrix, else None."""
+def covering_target(S: QuotientMatrix) -> Optional[QuotientMatrix]:
+    """S itself when it is the adjacency matrix of a target graph, else None."""
     if covering_failure(S) is not None:
         return None
-    return TargetGraph(tuple(tuple(row) for row in S))
+    return S
 
 
 class NearDistinctnessPreconditionError(ValueError):

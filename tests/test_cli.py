@@ -253,6 +253,30 @@ def test_enumerate_bad_lattice_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["merge", "FILE", "1", "1", "-o", "OUT"], "different colors"),
+        (
+            ["shift", "FILE", "--orientation", "right", "--residue", "0",
+             "--modulus", "0", "--offset", "1", "-o", "OUT"],
+            "--modulus",
+        ),
+        (["enumerate", "--width", "2", "--height", "2", "--colors", "2",
+          "--jobs", "0"], "--jobs"),
+        (["enumerate", "--width", "2", "--height", "2", "--colors", "2",
+          "--jobs", "-2"], "--jobs"),
+    ],
+)
+def test_bad_arguments_are_usage_errors(paths, capsys, tmp_path, argv, message):
+    out_path = tmp_path / "out.pcg"
+    subst = {"FILE": paths("II-base"), "OUT": str(out_path)}
+    code, out, err = run(capsys, *(subst.get(a, a) for a in argv))
+    assert code == 2
+    assert message in err and out == ""
+    assert not out_path.exists()
+
+
 def test_stationary_text(paths, capsys):
     code, out, err = run(capsys, "stationary", paths("II-base"))
     assert code == 0

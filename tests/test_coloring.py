@@ -1,7 +1,7 @@
 """Lattices, the PCG text format, and coloring normal forms."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcg import fixtures
@@ -45,6 +45,8 @@ def colorings(draw):
     )
     return PeriodicColoring(lat, rows)
 
+
+TEN_COLORS = "# pcg v1\nperiods (4,0) (0,3)\n10 3 6 3\n9 1 2 7\n5 8 9 4\n"
 
 vecs = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
 auts = st.builds(GridAutomorphism, st.sampled_from(d4_elements()), vecs)
@@ -246,6 +248,24 @@ def test_canonical_frozen_examples():
     assert canonical(fixtures.get("h")) == (
         "# pcg v1\nperiods (4,0) (2,2)\n1 2 3 4\n5 6 7 8\n"
     )
+    # ten colors: ids order as text ("1 " < "10" < "2 "), not as integers
+    assert canonical(parse(TEN_COLORS)) == (
+        "# pcg v1\nperiods (3,0) (0,4)\n1  2  3\n4  5  6\n1  7  8\n9  10 5\n"
+    )
+
+
+@given(colorings())
+@example(parse(TEN_COLORS))
+@settings(max_examples=60)
+def test_canonical_matches_definition(F):
+    base = F.rebase(maximal_periods(F))
+    renderings = []
+    for g in d4_elements():
+        T = base.transform(GridAutomorphism(g, (0, 0)))
+        for t in T.lattice.domain():
+            G = T.translate(t).relabel_first_occurrence()
+            renderings.append(render(G, ids=True))
+    assert canonical(F) == min(renderings)
 
 
 @given(colorings(), vecs)

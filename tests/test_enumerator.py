@@ -1,5 +1,8 @@
 """Exhaustive torus enumeration against the brute-force oracle."""
 
+import multiprocessing
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,6 +106,29 @@ def test_quotient_constraint_filters():
 def test_parallel_jobs_agree():
     sp = spec(4, 0, 2, 4, surjective=False)
     assert enumerate_colorings(sp) == enumerate_colorings(sp, jobs=2)
+
+
+def test_jobs_capped_at_cpu_count(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return list(map(fn, args))
+
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    sp = spec(4, 0, 2, 4, surjective=False)
+    assert enumerate_colorings(sp, jobs=64) == enumerate_colorings(sp)
+    assert sizes == [3]
 
 
 def test_enumeration_finds_the_checkerboard():

@@ -43,7 +43,7 @@ def test_stabilizer_lives_on_the_maximal_lattice():
 def test_stabilizer_contains_identity_and_preserves_colors():
     F = fixtures.get("e")
     g = stabilizer(F)
-    assert GridAutomorphism(IDENTITY, (0, 0)) in g
+    assert GridAutomorphism(IDENTITY, (0, 0)) in g.elements
     base = F.rebase(g.lattice)
     for aut in g.elements:
         assert all(

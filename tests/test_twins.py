@@ -91,8 +91,8 @@ def test_covering_target_of_fixture_h():
     S = quotient(fixtures.get("h"))
     T = covering_target(S)
     assert T is not None
-    assert T.n == 8
-    assert all(T.degree(v) == 4 for v in range(1, 9))
+    assert len(T) == 8
+    assert all(sum(row) == 4 for row in T)
     assert covering_target(quotient(fixtures.get("b"))) is None
 
 
