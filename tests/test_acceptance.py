@@ -16,8 +16,10 @@ from pcg.diagonals import diagonal_classes, find_special_diagonals, shift_residu
 from pcg.grid import neighbors
 from pcg.orbits import is_orbit
 from pcg.perfect import Violation, check, dk, path_count, refine_bipartite, stationary
-from pcg.search import SearchSpec, brute_oracle, enumerate_colorings, matrices_conjugate
+from pcg.search import SearchSpec, enumerate_colorings, matrices_conjugate
 from pcg.twins import dichotomy_audit, equal_rows, merge, near_distinctness, twin_pairs
+
+from oracle import brute_oracle
 
 ALL_IDS = fixtures.fixture_ids()
 

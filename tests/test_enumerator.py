@@ -9,14 +9,18 @@ from hypothesis import strategies as st
 
 from pcg import fixtures
 from pcg.coloring import Lattice, canonical, parse
+from pcg.grid import d4_elements
 from pcg.perfect import Violation, check, quotient
 from pcg.search import (
     SearchSpec,
-    brute_oracle,
+    _Engine,
     classify,
     enumerate_colorings,
     matrices_conjugate,
 )
+
+from conftest import _lattices_up_to_index
+from oracle import brute_oracle
 
 
 def spec(w, s, h, colors, **kw):
@@ -32,6 +36,10 @@ def test_spec_validation():
         SearchSpec(Lattice(2, 0, 2), 2, quotient=((0, 4), (4, 0), (0, 0)))
     with pytest.raises(ValueError):
         SearchSpec(Lattice(3, 0, 3), 2, quotient=((0, 1, 3),) * 3)
+    with pytest.raises(ValueError):
+        SearchSpec(Lattice(2, 0, 2), 2, quotient=((0, 4), (5, -1)))  # negative
+    with pytest.raises(ValueError):
+        SearchSpec(Lattice(2, 0, 2), 2, quotient=((0, 3), (3, 0)))  # rows sum to 3
 
 
 def test_frozen_counts_small_tori():
@@ -65,6 +73,9 @@ def test_matches_brute_oracle():
         spec(3, 1, 2, 3, surjective=False),
         spec(2, 0, 2, 2, surjective=True),
         spec(3, 0, 3, 3, surjective=True),
+        # lattices whose search order is not row-major
+        spec(4, 1, 2, 4, surjective=False),
+        spec(7, 3, 1, 4, surjective=False),
     ]
     for sp in cases:
         fast = {canonical(F) for F in enumerate_colorings(sp)}
@@ -77,6 +88,26 @@ def test_brute_oracle_guard():
         brute_oracle(spec(4, 0, 4, 3))
     with pytest.raises(ValueError):
         brute_oracle(spec(3, 0, 3, 5, surjective=False))
+
+
+def test_d4_images_enumerate_the_same_colorings():
+    for lat in _lattices_up_to_index(10):
+        colors = min(3, lat.index)
+        want = enumerate_colorings(SearchSpec(lat, colors, surjective=False))
+        for g in d4_elements():
+            image = SearchSpec(lat.transform(g), colors, surjective=False)
+            assert enumerate_colorings(image) == want, (lat, g)
+
+
+def test_cell_order_is_a_permutation():
+    for lat in _lattices_up_to_index(12):
+        order = _Engine(SearchSpec(lat, 1)).order
+        assert sorted(order) == list(range(lat.index)), lat
+
+
+@pytest.mark.parametrize("lat", [Lattice(4, 1, 2), Lattice(7, 3, 1)])
+def test_cell_order_leaves_row_major_when_it_pays(lat):
+    assert _Engine(SearchSpec(lat, 1)).order != list(range(lat.index))
 
 
 def test_surjective_flag_semantics():
@@ -105,6 +136,13 @@ def test_quotient_constraint_filters():
 
 def test_parallel_jobs_agree():
     sp = spec(4, 0, 2, 4, surjective=False)
+    assert enumerate_colorings(sp) == enumerate_colorings(sp, jobs=2)
+
+
+def test_parallel_jobs_agree_off_row_major():
+    # prefixes hold colors in search-order positions, not row-major ones
+    sp = spec(8, 2, 2, 4, surjective=False)
+    assert _Engine(sp).order != list(range(16))
     assert enumerate_colorings(sp) == enumerate_colorings(sp, jobs=2)
 
 
