@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Optional
 
 from . import fixtures
@@ -47,6 +48,8 @@ def _load(path: str) -> PeriodicColoring:
             text = fh.read()
     except OSError as e:
         raise _Usage(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise _Usage(f"{path}: not UTF-8 text (byte {e.start})") from None
     try:
         # token-sorted ids keep matrix row order independent of file layout
         return parse(text).relabel_sorted_tokens()
@@ -267,7 +270,9 @@ def _positive(text: str) -> int:
     return n
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The pcg argument parser, built once per process; parsing leaves it as is."""
     top = argparse.ArgumentParser(
         prog="pcg", description="Perfect colorings of the square grid."
     )
@@ -321,8 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
 
     p = cmd("enumerate", _cmd_enumerate, "all perfect colorings of a torus")
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--height", type=int, required=True)
+    p.add_argument("--width", type=_positive, required=True)
+    p.add_argument("--height", type=_positive, required=True)
     p.add_argument("--shear", type=int, default=0)
     p.add_argument("--colors", type=int, required=True)
     p.add_argument("--quotient", help="PCG file whose quotient constrains the search")

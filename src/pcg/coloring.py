@@ -28,6 +28,11 @@ from .grid import GridAutomorphism, Mat2, Vec2, d4_elements, mat_apply
 
 _Sym = TypeVar("_Sym")
 
+# Entries kept by each memoised analysis (here and in perfect and orbits):
+# enough for every repeat within one classification, while a long sweep
+# does not keep every coloring it has seen alive.
+CACHE_SIZE = 1024
+
 TOKEN_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _HEADER = "# pcg v1"
 _PERIODS_RE = re.compile(
@@ -358,20 +363,46 @@ def _text(lat: Lattice, cells: Sequence[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=None)
+def _row_sources(
+    doubled: Sequence[Sequence[int]], lattice: Lattice, ty: int
+) -> list[tuple[Sequence[int], int]]:
+    """Where each row of the block moved by (tx, ty) comes from, for any tx.
+
+    Node (x, y) of the moved block shows node (x - tx, y - ty). `doubled`
+    holds each row of the block twice over, so that row y of the moved
+    block is the slice ``src[cut : cut + w]`` of the y-th pair
+    ``(src, shift)``, with ``cut = (shift - tx) % w``.
+    """
+    h, s = lattice.h, lattice.s
+    # rows 0..ty-1 come from across the top edge, one basis vector
+    # (s, h) away, so they are shifted by the shear
+    above = [(src, s) for src in doubled[h - ty :]]
+    return above + [(src, 0) for src in doubled[: h - ty]]
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def maximal_periods(F: PeriodicColoring) -> Lattice:
     """The lattice of ALL translations fixing F; contains F.lattice.
 
     Every period is congruent mod F.lattice to a fundamental-domain
-    vector, so testing the domain representatives finds them all.
+    vector, so testing the domain representatives finds them all. A
+    translation is rejected at the first row of the moved block that
+    differs from the same row of F.
     """
-    cells = tuple(F.cells())
-    vecs = list(F.lattice.basis)
-    for tx, ty in F.lattice.domain():
-        if (tx, ty) == (0, 0):
-            continue
-        if all(F.color_at((x + tx, y + ty)) == c for (x, y), c in cells):
-            vecs.append((tx, ty))
+    lat = F.lattice
+    w = lat.w
+    doubled = [row * 2 for row in F.rows]
+    vecs = list(lat.basis)
+    for ty in range(lat.h):
+        sources = _row_sources(doubled, lat, ty)
+        for tx in range(w):
+            for (src, shift), row in zip(sources, F.rows):
+                cut = (shift - tx) % w
+                if src[cut : cut + w] != row:
+                    break
+            else:
+                if tx or ty:
+                    vecs.append((tx, ty))
     return Lattice.from_vectors(*vecs)
 
 
@@ -384,34 +415,47 @@ def least_translation(
     domain of `lattice`, row-major. Each translation of the torus is read
     row-major with its k-th new color (counting from 0) written as
     ``symbols[k]``; the least of the resulting tuples is returned.
+
+    Candidates are built a row at a time. A candidate is dropped at the
+    first row that is greater than the same row of the least one so far;
+    once a row is smaller, the candidate is the new least and is finished
+    without further comparisons. Every candidate has the same length, so
+    this is the lexicographic minimum over the full tuples.
     """
-    w, s, h = lattice.w, lattice.s, lattice.h
-    # doubled rows turn every cyclic shift of a row into one slice
-    rows = [flat[i : i + w] * 2 for i in range(0, h * w, w)]
+    w, h = lattice.w, lattice.h
+    doubled = [flat[i : i + w] * 2 for i in range(0, h * w, w)]
     unset: list[Optional[_Sym]] = [None] * (len(symbols) + 1)
-    best: Optional[tuple[_Sym, ...]] = None
+    best: Optional[list[tuple[_Sym, ...]]] = None
     for ty in range(h):
+        sources = _row_sources(doubled, lattice, ty)
         for tx in range(w):
-            # node (x, y) of the moved block shows node (x - tx, y - ty)
             perm = unset[:]
             fresh = iter(symbols)
-            out = []
-            for y in range(h):
-                k, r = divmod(y - ty, h)
-                cut = -(tx + k * s) % w
-                for c in rows[r][cut : cut + w]:
+            cand: list[tuple[_Sym, ...]] = []
+            smaller = best is None
+            for y, (src, shift) in enumerate(sources):
+                cut = (shift - tx) % w
+                out = []
+                for c in src[cut : cut + w]:
                     p = perm[c]
                     if p is None:
                         perm[c] = p = next(fresh)
                     out.append(p)
-            cand = tuple(out)
-            if best is None or cand < best:
-                best = cand
+                row = tuple(out)
+                if not smaller:
+                    least = best[y]
+                    if row > least:
+                        break
+                    smaller = row < least
+                cand.append(row)
+            else:
+                if smaller:
+                    best = cand
     assert best is not None
-    return best
+    return tuple(c for row in best for c in row)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def canonical(F: PeriodicColoring) -> str:
     """Least PCG rendering of F over point transforms, translations,
     and first-occurrence relabeling, on the maximal period lattice.

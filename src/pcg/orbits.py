@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .coloring import Lattice, PeriodicColoring, maximal_periods
+from .coloring import CACHE_SIZE, Lattice, PeriodicColoring, maximal_periods
 from .grid import GridAutomorphism, Vec2, ball, d4_elements
 
 
@@ -33,7 +33,7 @@ class StabilizerGroup:
         return len(self.elements)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def stabilizer(F: PeriodicColoring) -> StabilizerGroup:
     """All (point, shift mod periods) fixing F; verified group-closed."""
     lat = maximal_periods(F)
@@ -64,7 +64,7 @@ def stabilizer(F: PeriodicColoring) -> StabilizerGroup:
     return group
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def orbits(F: PeriodicColoring) -> tuple[tuple[Vec2, ...], ...]:
     """Orbits of the stabilizer on the cells of the maximal-period torus.
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Union
 
-from .coloring import Lattice, PeriodicColoring, WindowColoring
+from .coloring import CACHE_SIZE, Lattice, PeriodicColoring, WindowColoring
 from .grid import Vec2, neighbors, parity
 
 QuotientMatrix = tuple[tuple[int, ...], ...]
@@ -57,7 +57,7 @@ def _counts(colors: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def check(F: PeriodicColoring) -> Union[QuotientMatrix, Violation]:
     """The quotient matrix of F, or the first violation in row-major order."""
     seen: dict[int, tuple[int, int, int, int]] = {}

@@ -1,10 +1,15 @@
-"""A slow, pruning-free enumerator that keeps the tree search honest."""
+"""Slow references that keep the fast paths honest: a pruning-free
+enumerator for the tree search, and full-scan versions of the
+translation kernels in pcg.coloring."""
 
 import itertools
+from typing import Optional, Sequence, TypeVar
 
-from pcg.coloring import PeriodicColoring, canonical, parse
+from pcg.coloring import Lattice, PeriodicColoring, canonical, parse
 from pcg.perfect import Violation, check
 from pcg.search import SearchSpec, matrices_conjugate
+
+_Sym = TypeVar("_Sym")
 
 
 def brute_oracle(spec: SearchSpec) -> tuple[PeriodicColoring, ...]:
@@ -38,3 +43,45 @@ def brute_oracle(spec: SearchSpec) -> tuple[PeriodicColoring, ...]:
             continue
         out.add(canonical(F))
     return tuple(parse(s) for s in sorted(out))
+
+
+def brute_least_translation(
+    flat: Sequence[int], lattice: Lattice, symbols: Sequence[_Sym]
+) -> tuple[_Sym, ...]:
+    """The same answer as least_translation, with every candidate built in full."""
+    w, s, h = lattice.w, lattice.s, lattice.h
+    # doubled rows turn every cyclic shift of a row into one slice
+    rows = [flat[i : i + w] * 2 for i in range(0, h * w, w)]
+    unset: list[Optional[_Sym]] = [None] * (len(symbols) + 1)
+    best: Optional[tuple[_Sym, ...]] = None
+    for ty in range(h):
+        for tx in range(w):
+            # node (x, y) of the moved block shows node (x - tx, y - ty)
+            perm = unset[:]
+            fresh = iter(symbols)
+            out = []
+            for y in range(h):
+                k, r = divmod(y - ty, h)
+                cut = -(tx + k * s) % w
+                for c in rows[r][cut : cut + w]:
+                    p = perm[c]
+                    if p is None:
+                        perm[c] = p = next(fresh)
+                    out.append(p)
+            cand = tuple(out)
+            if best is None or cand < best:
+                best = cand
+    assert best is not None
+    return best
+
+
+def brute_maximal_periods(F: PeriodicColoring) -> Lattice:
+    """The same answer as maximal_periods, testing every cell with color_at."""
+    cells = tuple(F.cells())
+    vecs = list(F.lattice.basis)
+    for tx, ty in F.lattice.domain():
+        if (tx, ty) == (0, 0):
+            continue
+        if all(F.color_at((x + tx, y + ty)) == c for (x, y), c in cells):
+            vecs.append((tx, ty))
+    return Lattice.from_vectors(*vecs)

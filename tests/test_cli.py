@@ -5,7 +5,7 @@ import json
 import pytest
 
 from pcg import fixtures
-from pcg.cli import main
+from pcg.cli import _build_parser, main
 from pcg.coloring import parse, render
 from pcg.perfect import Violation, check
 
@@ -266,15 +266,41 @@ def test_enumerate_bad_lattice_is_usage_error(capsys):
           "--jobs", "0"], "--jobs"),
         (["enumerate", "--width", "2", "--height", "2", "--colors", "2",
           "--jobs", "-2"], "--jobs"),
+        (["enumerate", "--width", "-2", "--height", "2", "--colors", "2"],
+         "--width"),
+        (["enumerate", "--width", "2", "--height", "-3", "--colors", "2"],
+         "--height"),
+        (["classify", "BINARY"], "not UTF-8"),
     ],
 )
 def test_bad_arguments_are_usage_errors(paths, capsys, tmp_path, argv, message):
     out_path = tmp_path / "out.pcg"
-    subst = {"FILE": paths("II-base"), "OUT": str(out_path)}
+    binary = tmp_path / "binary.pcg"
+    binary.write_bytes(b"\xff\xfe")
+    subst = {"FILE": paths("II-base"), "OUT": str(out_path), "BINARY": str(binary)}
     code, out, err = run(capsys, *(subst.get(a, a) for a in argv))
     assert code == 2
     assert message in err and out == ""
     assert not out_path.exists()
+
+
+def test_main_runs_the_same_when_called_again(paths, capsys):
+    # the parser is built once per process; later calls must not see
+    # anything an earlier call, or its usage error, left behind
+    calls = [
+        ["classify", paths("h"), "--json"],
+        ["enumerate", "--width", "2", "--height", "2", "--colors", "2",
+         "--jobs", "0"],
+        ["verify", paths("II-base")],
+    ]
+    alone = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    assert [r[0] for r in alone] == [0, 2, 0]
+    for _ in range(2):
+        assert [run(capsys, *argv) for argv in calls] == alone
+    assert _build_parser.cache_info().misses == 1
 
 
 def test_stationary_text(paths, capsys):

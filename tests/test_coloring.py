@@ -6,16 +6,22 @@ from hypothesis import strategies as st
 
 from pcg import fixtures
 from pcg.coloring import (
+    CACHE_SIZE,
     Lattice,
     PcgParseError,
     PeriodicColoring,
     canonical,
     equivalent,
+    least_translation,
     maximal_periods,
     parse,
     render,
 )
 from pcg.grid import GridAutomorphism, d4_elements
+from pcg.orbits import orbits, stabilizer
+from pcg.perfect import check
+
+from oracle import brute_least_translation, brute_maximal_periods
 
 
 def small_lattices():
@@ -44,6 +50,36 @@ def colorings(draw):
         tuple(relabel[next(it)] for _ in range(lat.w)) for _ in range(lat.h)
     )
     return PeriodicColoring(lat, rows)
+
+
+@st.composite
+def blocks(draw, max_side=5, colors=(1, 3)):
+    """A row-major cell block on a sheared lattice, every color 1..k used."""
+    lo, hi = colors
+    w = draw(st.integers(-(-lo // max_side), max_side))
+    h = draw(st.integers(-(-lo // w), max_side))
+    lat = Lattice(w, draw(st.integers(0, w - 1)), h)
+    k = draw(st.integers(lo, min(hi, lat.index)))
+    size = lat.index - k
+    rest = draw(st.lists(st.integers(1, k), min_size=size, max_size=size))
+    return draw(st.permutations(list(range(1, k + 1)) + rest)), lat
+
+
+@st.composite
+def tiled_blocks(draw):
+    """A block repeated over a sublattice of its own lattice, so many
+    translations tie, some of them down to the last row."""
+    flat, tile = draw(blocks(max_side=3))
+    (w, _), (s, h) = tile.basis
+    i, j = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    k = draw(st.integers(0, 2))
+    big = Lattice.from_vectors((i * w, 0), (j * s + k * w, j * h))
+    G = PeriodicColoring(tile, _rows(flat, tile)).rebase(big)
+    return [c for row in G.rows for c in row], big
+
+
+def _rows(flat, lat):
+    return tuple(tuple(flat[i : i + lat.w]) for i in range(0, lat.index, lat.w))
 
 
 TEN_COLORS = "# pcg v1\nperiods (4,0) (0,3)\n10 3 6 3\n9 1 2 7\n5 8 9 4\n"
@@ -241,6 +277,25 @@ def test_maximal_periods_contains_declared_lattice(F):
         )
 
 
+@pytest.mark.parametrize(
+    "block",
+    [blocks(), tiled_blocks(), blocks(max_side=6, colors=(10, 14))],
+    ids=["sheared", "tiled", "ten_colors"],
+)
+@given(data=st.data())
+@settings(max_examples=150)
+def test_translation_kernels_match_full_scans(block, data):
+    flat, lat = data.draw(block)
+    n = max(flat)
+    width = len(str(n))
+    for symbols in (range(n), tuple(str(i).ljust(width) for i in range(1, n + 1))):
+        fast = least_translation(flat, lat, symbols)
+        assert fast == brute_least_translation(flat, lat, symbols)
+    F = PeriodicColoring(lat, _rows(flat, lat))
+    # past the cache, so every example runs the kernel
+    assert maximal_periods.__wrapped__(F) == brute_maximal_periods(F)
+
+
 def test_canonical_frozen_examples():
     assert canonical(fixtures.checkerboard()) == (
         "# pcg v1\nperiods (2,0) (1,1)\n1 2\n"
@@ -299,6 +354,16 @@ def test_equivalent_separates_different_colorings():
     assert not equivalent(fixtures.get("8-150-1"), fixtures.get("8-150-2"))
     assert not equivalent(fixtures.get("3-17-2"), fixtures.get("3-17-3"))
     assert equivalent(fixtures.stripes(2), fixtures.checkerboard()) is False
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [check, canonical, maximal_periods, stabilizer, orbits],
+    ids=lambda fn: fn.__name__,
+)
+def test_analysis_caches_are_bounded(fn):
+    # an unbounded cache would keep every coloring of a long sweep alive
+    assert fn.cache_info().maxsize == CACHE_SIZE
 
 
 def test_json_dict_shape():
