@@ -4,7 +4,8 @@ Core objects: `Lattice` (period lattice in Hermite normal form),
 `PeriodicColoring` (coloring constant on lattice cosets), quotient
 matrices and the equitable check in `perfect`, twin detection and
 merging in `twins`, diagonal structure in `diagonals`, symmetry orbits
-in `orbits`, and exhaustive search in `search`.
+in `orbits`, exhaustive search in `search`, and the report that runs
+every analysis on one coloring in `report`.
 """
 
 from .coloring import Lattice, PcgParseError, PeriodicColoring, WindowColoring, parse

@@ -34,7 +34,8 @@ from .perfect import (
     quotient,
     stationary,
 )
-from .search import SearchSpec, classify, enumerate_colorings
+from .report import classify
+from .search import SearchSpec, enumerate_colorings
 from .twins import TwinMergeError, dichotomy_audit, merge, twin_pairs
 
 

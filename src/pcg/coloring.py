@@ -316,14 +316,20 @@ def parse(text: str) -> PeriodicColoring:
     m = _PERIODS_RE.match(ln.strip())
     if not m:
         raise PcgParseError(f"line {no}: expected 'periods (a,b) (c,d)'")
-    p1 = (int(m.group(1)), int(m.group(2)))
-    p2 = (int(m.group(3)), int(m.group(4)))
+    try:
+        p1 = (int(m.group(1)), int(m.group(2)))
+        p2 = (int(m.group(3)), int(m.group(4)))
+    except ValueError:  # more digits than int() converts
+        raise PcgParseError(f"line {no}: period entry has too many digits") from None
     try:
         lat = Lattice.from_vectors(p1, p2)
     except ValueError:
         raise PcgParseError(
             f"line {no}: periods {p1} {p2} have zero determinant"
         ) from None
+    # every cell takes a token, so this also keeps w and h printable
+    if lat.index > len(text):
+        raise PcgParseError(f"line {no}: periods span more cells than the text holds")
     row_lines = content[1:]
     if len(row_lines) != lat.h:
         raise PcgParseError(

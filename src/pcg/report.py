@@ -1,0 +1,90 @@
+"""One report per coloring: every analysis of the package, in one place.
+
+`classify` runs the perfectness check and, on a perfect coloring, the
+quotient-level analyses (bipartiteness, twins, coverings) and the
+coloring-level ones (special diagonals, the orbit decision); the
+maximal periods and the canonical form are reported either way.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
+
+from .coloring import Lattice, PeriodicColoring, canonical, maximal_periods
+from .diagonals import DiagonalClass, find_special_diagonals
+from .orbits import is_orbit
+from .perfect import QuotientMatrix, Violation, check, is_bipartite
+from .twins import covering_target, twin_pairs
+
+
+@dataclass(frozen=True)
+class ClassificationReport:
+    """Everything the library can say about one coloring, in one place."""
+
+    perfect: bool
+    violation: Optional[Violation]
+    quotient: Optional[QuotientMatrix]
+    bipartite: Optional[bool]
+    twin_pairs: tuple[tuple[int, int], ...]
+    covering: Optional[bool]
+    special_diagonals: tuple[DiagonalClass, ...]
+    orbit: Optional[bool]
+    maximal: Lattice
+    canonical: str
+    tokens: tuple[str, ...]
+
+    def to_json_dict(self) -> dict:
+        toks = self.tokens
+        v = self.violation
+        return {
+            "perfect": self.perfect,
+            "violation": None
+            if v is None
+            else {
+                "node": list(v.node),
+                "color": toks[v.color - 1],
+                "expected": list(v.expected) if v.expected is not None else None,
+                "observed": [toks[c - 1] for c in v.observed],
+            },
+            "quotient": [list(r) for r in self.quotient] if self.quotient else None,
+            "bipartite": self.bipartite,
+            "twins": [[toks[a - 1], toks[b - 1]] for a, b in self.twin_pairs],
+            "covering": self.covering,
+            "diagonals": [d.to_json_dict(toks) for d in self.special_diagonals],
+            "orbit": self.orbit,
+            "maximal_periods": [list(b) for b in self.maximal.basis],
+            "canonical": self.canonical,
+        }
+
+
+def classify(F: PeriodicColoring) -> ClassificationReport:
+    """Run the whole pipeline on one coloring."""
+    S = check(F)
+    if isinstance(S, Violation):
+        return ClassificationReport(
+            perfect=False,
+            violation=S,
+            quotient=None,
+            bipartite=None,
+            twin_pairs=(),
+            covering=None,
+            special_diagonals=(),
+            orbit=None,
+            maximal=maximal_periods(F),
+            canonical=canonical(F),
+            tokens=F.tokens,
+        )
+    return ClassificationReport(
+        perfect=True,
+        violation=None,
+        quotient=S,
+        bipartite=is_bipartite(F),
+        twin_pairs=twin_pairs(S),
+        covering=covering_target(S) is not None,
+        special_diagonals=find_special_diagonals(F),
+        orbit=is_orbit(F),
+        maximal=maximal_periods(F),
+        canonical=canonical(F),
+        tokens=F.tokens,
+    )

@@ -21,28 +21,32 @@ winner has the least open-slot sum, the number of neighbor edges from
 colored to uncolored cells summed over every depth; ties go to the
 earlier candidate. Colorings are still stored row-major, so the order
 changes only how fast the search runs, never what it returns.
+
+The eight point maps of the grid (the group D4) carry the perfect
+colorings of one torus onto those of its images, and canonical forms do
+not see them, so a lattice and its images share one answer.
+`enumerate_colorings` searches only the least lattice of each D4 class
+and keeps a bounded memo of the answers, keyed by the spec on that
+lattice; `_enumerate` is the search itself, uncached.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .coloring import (
+    CACHE_SIZE,
     Lattice,
     PeriodicColoring,
     canonical,
     least_translation,
-    maximal_periods,
     parse,
 )
-from .diagonals import DiagonalClass, find_special_diagonals
 from .grid import d4_elements, mat_apply, mat_inv, neighbors
-from .orbits import is_orbit
-from .perfect import QuotientMatrix, Violation, check, is_bipartite
-from .twins import covering_target, twin_pairs
+from .perfect import QuotientMatrix
 
 
 @dataclass(frozen=True)
@@ -335,6 +339,16 @@ def _run_prefix(args: tuple) -> list[str]:
     return sorted(eng.canonicals())
 
 
+# Answers by D4-representative spec, oldest first; see enumerate_colorings.
+_memo: dict[SearchSpec, tuple[PeriodicColoring, ...]] = {}
+
+
+def _d4_representative(spec: SearchSpec) -> SearchSpec:
+    """`spec` on the least lattice of its orbit under the point group D4."""
+    lattice = min(spec.lattice.transform(g) for g in d4_elements())
+    return replace(spec, lattice=lattice)
+
+
 def enumerate_colorings(
     spec: SearchSpec, jobs: int = 1
 ) -> tuple[PeriodicColoring, ...]:
@@ -344,9 +358,25 @@ def enumerate_colorings(
     otherwise up to max_colors. A quotient constraint accepts a
     coloring when its matrix equals the given one up to a simultaneous
     permutation of the colors. jobs > 1 splits the search tree across
-    processes, never more than os.cpu_count(); the result is identical
-    either way.
+    processes, never more than os.cpu_count(); it changes only the
+    speed, never the result.
+
+    Results are memoised per D4 class of the lattice (see the module
+    docstring): the search runs on the class's least lattice, and the
+    `coloring.CACHE_SIZE` answers computed last are kept, keyed by the
+    spec on that lattice. jobs is not part of the key.
     """
+    key = _d4_representative(spec)
+    found = _memo.get(key)
+    if found is None:
+        found = _memo[key] = _enumerate(key, jobs)
+        if len(_memo) > CACHE_SIZE:
+            del _memo[next(iter(_memo))]
+    return found
+
+
+def _enumerate(spec: SearchSpec, jobs: int) -> tuple[PeriodicColoring, ...]:
+    """enumerate_colorings on exactly `spec`, uncached."""
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         eng = _Engine(spec)
@@ -374,75 +404,3 @@ def enumerate_colorings(
     for chunk in chunks:
         merged.update(chunk)
     return _finish(merged)
-
-
-@dataclass(frozen=True)
-class ClassificationReport:
-    """Everything the library can say about one coloring, in one place."""
-
-    perfect: bool
-    violation: Optional[Violation]
-    quotient: Optional[QuotientMatrix]
-    bipartite: Optional[bool]
-    twin_pairs: tuple[tuple[int, int], ...]
-    covering: Optional[bool]
-    special_diagonals: tuple[DiagonalClass, ...]
-    orbit: Optional[bool]
-    maximal: Lattice
-    canonical: str
-    tokens: tuple[str, ...]
-
-    def to_json_dict(self) -> dict:
-        toks = self.tokens
-        v = self.violation
-        return {
-            "perfect": self.perfect,
-            "violation": None
-            if v is None
-            else {
-                "node": list(v.node),
-                "color": toks[v.color - 1],
-                "expected": list(v.expected) if v.expected is not None else None,
-                "observed": [toks[c - 1] for c in v.observed],
-            },
-            "quotient": [list(r) for r in self.quotient] if self.quotient else None,
-            "bipartite": self.bipartite,
-            "twins": [[toks[a - 1], toks[b - 1]] for a, b in self.twin_pairs],
-            "covering": self.covering,
-            "diagonals": [d.to_json_dict(toks) for d in self.special_diagonals],
-            "orbit": self.orbit,
-            "maximal_periods": [list(b) for b in self.maximal.basis],
-            "canonical": self.canonical,
-        }
-
-
-def classify(F: PeriodicColoring) -> ClassificationReport:
-    """Run the whole pipeline on one coloring."""
-    S = check(F)
-    if isinstance(S, Violation):
-        return ClassificationReport(
-            perfect=False,
-            violation=S,
-            quotient=None,
-            bipartite=None,
-            twin_pairs=(),
-            covering=None,
-            special_diagonals=(),
-            orbit=None,
-            maximal=maximal_periods(F),
-            canonical=canonical(F),
-            tokens=F.tokens,
-        )
-    return ClassificationReport(
-        perfect=True,
-        violation=None,
-        quotient=S,
-        bipartite=is_bipartite(F),
-        twin_pairs=twin_pairs(S),
-        covering=covering_target(S) is not None,
-        special_diagonals=find_special_diagonals(F),
-        orbit=is_orbit(F),
-        maximal=maximal_periods(F),
-        canonical=canonical(F),
-        tokens=F.tokens,
-    )

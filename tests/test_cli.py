@@ -271,13 +271,24 @@ def test_enumerate_bad_lattice_is_usage_error(capsys):
         (["enumerate", "--width", "2", "--height", "-3", "--colors", "2"],
          "--height"),
         (["classify", "BINARY"], "not UTF-8"),
+        # int() refuses more than 4,300 digits
+        (["classify", "LONG_NUMBER"], "too many digits"),
+        # a width of about 8,000 digits, which str() refuses to print
+        (["classify", "WIDE"], "more cells than the text holds"),
     ],
 )
 def test_bad_arguments_are_usage_errors(paths, capsys, tmp_path, argv, message):
     out_path = tmp_path / "out.pcg"
-    binary = tmp_path / "binary.pcg"
-    binary.write_bytes(b"\xff\xfe")
-    subst = {"FILE": paths("II-base"), "OUT": str(out_path), "BINARY": str(binary)}
+    nines = b"9" * 4000
+    files = {
+        "BINARY": b"\xff\xfe",
+        "LONG_NUMBER": b"# pcg v1\nperiods (1" + b"0" * 5000 + b",0) (0,1)\n1\n",
+        "WIDE": b"# pcg v1\nperiods (" + nines + b",1) (0," + nines + b")\n1\n",
+    }
+    subst = {"FILE": paths("II-base"), "OUT": str(out_path)}
+    for name, data in files.items():
+        subst[name] = str(tmp_path / f"{name}.pcg")
+        (tmp_path / f"{name}.pcg").write_bytes(data)
     code, out, err = run(capsys, *(subst.get(a, a) for a in argv))
     assert code == 2
     assert message in err and out == ""

@@ -185,10 +185,37 @@ def test_parse_rejects_malformed(text):
         parse(text)
 
 
-@given(colorings())
-def test_render_roundtrip(F):
+@given(colorings(), st.data())
+def test_render_roundtrip(F, data):
     assert parse(render(F)) == F
     assert parse(render(F, ids=True)).rows == F.rows
+    token = st.from_regex(r"[A-Za-z0-9_]{1,4}", fullmatch=True)
+    tokens = data.draw(st.lists(token, min_size=F.n, max_size=F.n, unique=True))
+    G = PeriodicColoring(F.lattice, F.rows, tuple(tokens))
+    assert parse(render(G)) == G
+
+
+@st.composite
+def garbled_renderings(draw):
+    """The text of a random coloring with a few characters replaced, so
+    that the fuzz also reaches the checks after the first lines."""
+    text = render(draw(colorings()))
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, min(len(text), i + 3)))
+    noise = st.characters() | st.sampled_from("0123456789-,() \n#")
+    return text[:i] + draw(st.text(noise, max_size=4)) + text[j:]
+
+
+@given(st.one_of(st.text(), garbled_renderings()))
+@example("# pcg v1\nperiods (1" + "0" * 5000 + ",0) (0,1)\n1\n")
+@example("# pcg v1\nperiods (" + "9" * 4000 + ",1) (0," + "9" * 4000 + ")\n1\n")
+@settings(max_examples=300)
+def test_parse_raises_only_parse_errors(text):
+    try:
+        F = parse(text)
+    except PcgParseError:
+        return
+    assert parse(render(F)) == F
 
 
 # coloring transforms

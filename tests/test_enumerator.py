@@ -2,19 +2,21 @@
 
 import multiprocessing
 import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcg import fixtures
-from pcg.coloring import Lattice, canonical, parse
+from pcg import fixtures, search
+from pcg.coloring import CACHE_SIZE, Lattice, canonical, parse
 from pcg.grid import d4_elements
 from pcg.perfect import Violation, check, quotient
+from pcg.report import classify
 from pcg.search import (
     SearchSpec,
     _Engine,
-    classify,
+    _enumerate,
     enumerate_colorings,
     matrices_conjugate,
 )
@@ -78,7 +80,7 @@ def test_matches_brute_oracle():
         spec(7, 3, 1, 4, surjective=False),
     ]
     for sp in cases:
-        fast = {canonical(F) for F in enumerate_colorings(sp)}
+        fast = {canonical(F) for F in _enumerate(sp, jobs=1)}
         slow = {canonical(F) for F in brute_oracle(sp)}
         assert fast == slow, sp
 
@@ -93,10 +95,10 @@ def test_brute_oracle_guard():
 def test_d4_images_enumerate_the_same_colorings():
     for lat in _lattices_up_to_index(10):
         colors = min(3, lat.index)
-        want = enumerate_colorings(SearchSpec(lat, colors, surjective=False))
+        want = _enumerate(SearchSpec(lat, colors, surjective=False), jobs=1)
         for g in d4_elements():
             image = SearchSpec(lat.transform(g), colors, surjective=False)
-            assert enumerate_colorings(image) == want, (lat, g)
+            assert _enumerate(image, jobs=1) == want, (lat, g)
 
 
 def test_cell_order_is_a_permutation():
@@ -136,14 +138,14 @@ def test_quotient_constraint_filters():
 
 def test_parallel_jobs_agree():
     sp = spec(4, 0, 2, 4, surjective=False)
-    assert enumerate_colorings(sp) == enumerate_colorings(sp, jobs=2)
+    assert _enumerate(sp, jobs=1) == _enumerate(sp, jobs=2)
 
 
 def test_parallel_jobs_agree_off_row_major():
     # prefixes hold colors in search-order positions, not row-major ones
     sp = spec(8, 2, 2, 4, surjective=False)
     assert _Engine(sp).order != list(range(16))
-    assert enumerate_colorings(sp) == enumerate_colorings(sp, jobs=2)
+    assert _enumerate(sp, jobs=1) == _enumerate(sp, jobs=2)
 
 
 def test_jobs_capped_at_cpu_count(monkeypatch):
@@ -165,8 +167,74 @@ def test_jobs_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     sp = spec(4, 0, 2, 4, surjective=False)
-    assert enumerate_colorings(sp, jobs=64) == enumerate_colorings(sp)
+    assert _enumerate(sp, jobs=64) == _enumerate(sp, jobs=1)
     assert sizes == [3]
+
+
+@pytest.fixture
+def engines(monkeypatch):
+    """An empty memo, and the lattice of every _Engine built from now on."""
+    built = []
+
+    class CountingEngine(_Engine):
+        def __init__(self, spec):
+            built.append(spec.lattice)
+            super().__init__(spec)
+
+    monkeypatch.setattr(search, "_memo", {})
+    monkeypatch.setattr(search, "_Engine", CountingEngine)
+    return built
+
+
+def test_d4_images_are_served_from_the_memo(engines):
+    lat = Lattice(6, 4, 1)
+    images = {lat.transform(g) for g in d4_elements()}
+    # the first call is not on the representative, so a memo keyed by
+    # the raw lattice would search again
+    assert min(images) != lat and len(images) > 2
+    want = enumerate_colorings(SearchSpec(lat, 4, surjective=False))
+    assert len(engines) == 1
+    for image in images:
+        assert enumerate_colorings(SearchSpec(image, 4, surjective=False)) == want
+    assert len(engines) == 1
+    assert want == _enumerate(SearchSpec(lat, 4, surjective=False), jobs=1)
+
+
+def test_jobs_is_not_part_of_the_memo_key(engines, monkeypatch):
+    def no_pool(processes):
+        raise AssertionError("a memo hit must not start processes")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    sp = spec(4, 0, 2, 4, surjective=False)
+    want = enumerate_colorings(sp)
+    assert enumerate_colorings(sp, jobs=2) == want
+    assert enumerate_colorings(sp, jobs=1) == want
+    assert len(engines) == 1
+
+
+def test_memo_keeps_specs_apart(engines):
+    base = spec(2, 0, 2, 2, surjective=False)
+    variants = [
+        # the filtered answer first: it must not be served for `base`
+        replace(base, quotient=((0, 4), (4, 0))),
+        base,
+        replace(base, max_colors=3),
+        replace(base, surjective=True),
+    ]
+    got = [enumerate_colorings(sp) for sp in variants]
+    assert len(engines) == len(variants)
+    assert got == [_enumerate(sp, jobs=1) for sp in variants]
+    # the four answers differ, so an entry served for the wrong spec shows
+    assert len({len(answer) for answer in got}) == len(variants)
+
+
+def test_memo_is_bounded_and_drops_the_oldest(engines, monkeypatch):
+    assert search.CACHE_SIZE == CACHE_SIZE  # the bound the analyses share
+    monkeypatch.setattr(search, "CACHE_SIZE", 3)
+    specs = [spec(1, 0, h, 1) for h in range(1, 7)]  # each its own representative
+    for i, sp in enumerate(specs):
+        enumerate_colorings(sp)
+        assert list(search._memo) == specs[max(0, i - 2) : i + 1]
 
 
 def test_enumeration_finds_the_checkerboard():
