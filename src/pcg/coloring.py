@@ -27,6 +27,7 @@ from typing import Iterator, Optional, Sequence, TypeVar
 from .grid import GridAutomorphism, Mat2, Vec2, d4_elements, mat_apply
 
 _Sym = TypeVar("_Sym")
+Rows = Sequence[Sequence[int]]
 
 # Entries kept by each memoised analysis (here and in perfect and orbits):
 # enough for every repeat within one classification, while a long sweep
@@ -36,7 +37,8 @@ CACHE_SIZE = 1024
 TOKEN_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _HEADER = "# pcg v1"
 _PERIODS_RE = re.compile(
-    r"periods\s+\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)\s+\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)\s*\Z"
+    r"periods\s+\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)\s+\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)\s*\Z",
+    re.ASCII,  # digits as render writes them, not any Unicode digit
 )
 
 
@@ -188,22 +190,23 @@ class PeriodicColoring:
 
     def translate(self, t: Vec2) -> PeriodicColoring:
         """The coloring v -> F(v - t) (the picture moved by +t)."""
-        tx, ty = t
-        rows = tuple(
-            tuple(self.color_at((x - tx, y - ty)) for x in range(self.lattice.w))
-            for y in range(self.lattice.h)
-        )
-        return PeriodicColoring(self.lattice, rows, self.tokens)
+        lat = self.lattice
+        rows = _block(self.rows, lat, -t[0], -t[1], lat.w, lat.h)
+        return PeriodicColoring(lat, rows, self.tokens)
 
     def transform(self, aut: GridAutomorphism) -> PeriodicColoring:
         """The coloring v -> F(aut^-1(v)); the lattice follows the point part."""
-        b1, b2 = self.lattice.basis
-        lat = Lattice.from_vectors(mat_apply(aut.point, b1), mat_apply(aut.point, b2))
+        lat = self.lattice.transform(aut.point)
         inv = aut.inverse()
-        rows = tuple(
-            tuple(self.color_at(inv.apply((x, y))) for x in range(lat.w))
-            for y in range(lat.h)
-        )
+        # the image block shows the box between the images of its corners,
+        # transposed if the point part swaps the axes, reversed where it flips
+        corners = inv.apply((0, 0)), inv.apply((lat.w - 1, lat.h - 1))
+        (x0, x1), (y0, y1) = (sorted(p) for p in zip(*corners))
+        rows = _block(self.rows, self.lattice, x0, y0, x1 - x0 + 1, y1 - y0 + 1)
+        (a, b), (c, d) = inv.point
+        if a == 0:
+            rows = tuple(zip(*rows))
+        rows = tuple(row[:: a + c] for row in rows[:: b + d])
         return PeriodicColoring(lat, rows, self.tokens)
 
     def relabel(self, perm: dict[int, int]) -> PeriodicColoring:
@@ -238,24 +241,15 @@ class PeriodicColoring:
 
     def rebase(self, lat: Lattice) -> PeriodicColoring:
         """Re-express on another lattice whose basis vectors are periods."""
-        cells = tuple(self.cells())
+        own = self.lattice
         for bx, by in lat.basis:
-            for (x, y), c in cells:
-                if self.color_at((x + bx, y + by)) != c:
-                    raise ValueError(f"({bx},{by}) is not a period of the coloring")
-        rows = tuple(
-            tuple(self.color_at((x, y)) for x in range(lat.w)) for y in range(lat.h)
-        )
+            if _block(self.rows, own, bx, by, own.w, own.h) != self.rows:
+                raise ValueError(f"({bx},{by}) is not a period of the coloring")
+        rows = _block(self.rows, own, 0, 0, lat.w, lat.h)
         return PeriodicColoring(lat, rows, self.tokens)
 
     def window(self, origin: Vec2, width: int, height: int) -> WindowColoring:
-        if width < 1 or height < 1:
-            raise ValueError("window must be at least 1x1")
-        ox, oy = origin
-        cells = tuple(
-            tuple(self.color_at((ox + c, oy + r)) for c in range(width))
-            for r in range(height)
-        )
+        cells = _block(self.rows, self.lattice, *origin, width, height)
         return WindowColoring(origin, width, height, cells)
 
     def to_json_dict(self) -> dict:
@@ -369,21 +363,40 @@ def _text(lat: Lattice, cells: Sequence[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _row_sources(
-    doubled: Sequence[Sequence[int]], lattice: Lattice, ty: int
-) -> list[tuple[Sequence[int], int]]:
-    """Where each row of the block moved by (tx, ty) comes from, for any tx.
+def _block(
+    rows: Rows, lattice: Lattice, x0: int, y0: int, width: int, height: int
+) -> tuple[tuple[int, ...], ...]:
+    """Colors of the nodes (x0 + c, y0 + r), 0 <= c < width, 0 <= r < height.
 
-    Node (x, y) of the moved block shows node (x - tx, y - ty). `doubled`
-    holds each row of the block twice over, so that row y of the moved
-    block is the slice ``src[cut : cut + w]`` of the y-th pair
-    ``(src, shift)``, with ``cut = (shift - tx) % w``.
+    `rows` is the fundamental domain of `lattice`. Node (x, y) shows domain
+    node ((x - k*s) mod w, y - k*h) with k = y // h, one shear s for each
+    basis vector (s, h) crossed, so each row returned is one slice of a
+    repeated domain row. Rows come back as tuples, also from list rows.
     """
-    h, s = lattice.h, lattice.s
-    # rows 0..ty-1 come from across the top edge, one basis vector
-    # (s, h) away, so they are shifted by the shear
-    above = [(src, s) for src in doubled[h - ty :]]
-    return above + [(src, 0) for src in doubled[: h - ty]]
+    w, s, h = lattice.w, lattice.s, lattice.h
+    # copies enough for a slice of `width` starting anywhere in the first
+    long = [tuple(row) * ((width - 2) // w + 2) for row in rows]
+    cuts = ((y % h, (x0 - y // h * s) % w) for y in range(y0, y0 + height))
+    return tuple(long[r][cut : cut + width] for r, cut in cuts)
+
+
+def translations(src: Rows, dst: Rows, lattice: Lattice) -> Iterator[Vec2]:
+    """The domain shifts t with src(v - t) = dst(v) everywhere, row-major.
+
+    `src` and `dst` are fundamental domains of `lattice`, `dst` in tuple
+    rows. A shift is dropped at the first row of the moved `src` that
+    differs from the same row of `dst`.
+    """
+    w, h = lattice.w, lattice.h
+    # row h - ty + y, columns w - tx onward, is row y of src moved by (tx, ty)
+    around = _block(src, lattice, 0, -h, 2 * w, 2 * h)
+    for ty in range(h):
+        for tx in range(w):
+            for y, row in enumerate(dst):
+                if around[h - ty + y][w - tx : 2 * w - tx] != row:
+                    break
+            else:
+                yield (tx, ty)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -391,25 +404,10 @@ def maximal_periods(F: PeriodicColoring) -> Lattice:
     """The lattice of ALL translations fixing F; contains F.lattice.
 
     Every period is congruent mod F.lattice to a fundamental-domain
-    vector, so testing the domain representatives finds them all. A
-    translation is rejected at the first row of the moved block that
-    differs from the same row of F.
+    vector, so testing the domain representatives finds them all.
     """
     lat = F.lattice
-    w = lat.w
-    doubled = [row * 2 for row in F.rows]
-    vecs = list(lat.basis)
-    for ty in range(lat.h):
-        sources = _row_sources(doubled, lat, ty)
-        for tx in range(w):
-            for (src, shift), row in zip(sources, F.rows):
-                cut = (shift - tx) % w
-                if src[cut : cut + w] != row:
-                    break
-            else:
-                if tx or ty:
-                    vecs.append((tx, ty))
-    return Lattice.from_vectors(*vecs)
+    return Lattice.from_vectors(*lat.basis, *translations(F.rows, F.rows, lat))
 
 
 def least_translation(
@@ -429,20 +427,19 @@ def least_translation(
     this is the lexicographic minimum over the full tuples.
     """
     w, h = lattice.w, lattice.h
-    doubled = [flat[i : i + w] * 2 for i in range(0, h * w, w)]
+    rows = [flat[i : i + w] for i in range(0, h * w, w)]
+    around = _block(rows, lattice, 0, -h, 2 * w, 2 * h)
     unset: list[Optional[_Sym]] = [None] * (len(symbols) + 1)
     best: Optional[list[tuple[_Sym, ...]]] = None
     for ty in range(h):
-        sources = _row_sources(doubled, lattice, ty)
         for tx in range(w):
             perm = unset[:]
             fresh = iter(symbols)
             cand: list[tuple[_Sym, ...]] = []
             smaller = best is None
-            for y, (src, shift) in enumerate(sources):
-                cut = (shift - tx) % w
+            for y in range(h):
                 out = []
-                for c in src[cut : cut + w]:
+                for c in around[h - ty + y][w - tx : 2 * w - tx]:
                     p = perm[c]
                     if p is None:
                         perm[c] = p = next(fresh)

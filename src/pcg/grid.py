@@ -108,8 +108,7 @@ def d4_elements() -> tuple[Mat2, ...]:
 class GridAutomorphism:
     """A grid symmetry ``v -> point @ v + shift``.
 
-    `point` must be one of the eight D4 matrices; that is not enforced
-    here so the class can also carry plain affine maps during search.
+    `point` is one of the eight D4 matrices, the signed permutations.
     """
 
     point: Mat2

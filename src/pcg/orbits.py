@@ -18,6 +18,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .coloring import CACHE_SIZE, Lattice, PeriodicColoring, maximal_periods
+from .coloring import translations
 from .grid import GridAutomorphism, Vec2, ball, d4_elements
 
 
@@ -35,21 +36,19 @@ class StabilizerGroup:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def stabilizer(F: PeriodicColoring) -> StabilizerGroup:
-    """All (point, shift mod periods) fixing F; verified group-closed."""
+    """All (point, shift mod periods) fixing F; verified group-closed.
+
+    On the maximal lattice only the zero domain shift is a period, so each
+    point map g keeps at most one shift, and the order is at most 8.
+    """
     lat = maximal_periods(F)
     base = F.rebase(lat)
-    cells = tuple(base.cells())
     elements = []
     for g in d4_elements():
-        try:
-            if lat.transform(g) != lat:
-                continue
-        except ValueError:
-            continue
-        for t in lat.domain():
-            aut = GridAutomorphism(g, t)
-            if all(base.color_at(aut.apply(v)) == c for v, c in cells):
-                elements.append(aut)
+        if lat.transform(g) == lat:
+            image = base.transform(GridAutomorphism(g, (0, 0))).rows
+            for t in translations(image, base.rows, lat):
+                elements.append(GridAutomorphism(g, t))
     elements.sort(key=lambda a: (a.point, a.shift))
     group = StabilizerGroup(lat, tuple(elements))
     keys = {(e.point, e.shift) for e in elements}

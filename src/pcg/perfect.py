@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple, Optional, Union
 
 from .coloring import CACHE_SIZE, Lattice, PeriodicColoring, WindowColoring
-from .grid import Vec2, neighbors, parity
+from .grid import NEIGHBOR_STEPS, Vec2, neighbors, parity
 
 QuotientMatrix = tuple[tuple[int, ...], ...]
 
@@ -60,9 +61,12 @@ def _counts(colors: tuple[int, ...], n: int) -> tuple[int, ...]:
 @lru_cache(maxsize=CACHE_SIZE)
 def check(F: PeriodicColoring) -> Union[QuotientMatrix, Violation]:
     """The quotient matrix of F, or the first violation in row-major order."""
+    w, h = F.lattice.w, F.lattice.h
+    # each cell's neighbor at every step, row-major like F.cells()
+    around = [chain(*F.window(step, w, h).cells) for step in NEIGHBOR_STEPS]
     seen: dict[int, tuple[int, int, int, int]] = {}
-    for v, c in F.cells():
-        p = profile(F, v)
+    for (v, c), *nbrs in zip(F.cells(), *around):
+        p = tuple(sorted(nbrs))
         ref = seen.setdefault(c, p)
         if p != ref:
             return Violation(node=v, color=c, expected=_counts(ref, F.n), observed=p)
@@ -90,8 +94,7 @@ def path_count(F: PeriodicColoring, v: Vec2, colors: tuple[int, ...]) -> int:
     """
     if not colors:
         raise ValueError("need at least one step color")
-    S = quotient(F)  # raises if not perfect
-    del S
+    quotient(F)  # raises if not perfect
 
     def walk(u: Vec2, rest: tuple[int, ...]) -> int:
         if not rest:
@@ -103,7 +106,6 @@ def path_count(F: PeriodicColoring, v: Vec2, colors: tuple[int, ...]) -> int:
 
 
 def _mat_mul(a: QuotientMatrix, b: QuotientMatrix) -> QuotientMatrix:
-    n = len(a)
     bt = tuple(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a

@@ -1,12 +1,16 @@
 """Slow references that keep the fast paths honest: a pruning-free
-enumerator for the tree search, and full-scan versions of the
-translation kernels in pcg.coloring."""
+enumerator for the tree search, full-scan versions of the translation
+kernels in pcg.coloring, and cell-by-cell versions of every shifted or
+rotated read of a coloring (translate, transform, rebase, window, the
+perfectness check and the stabilizer)."""
 
 import itertools
-from typing import Optional, Sequence, TypeVar
+from typing import Optional, Sequence, TypeVar, Union
 
-from pcg.coloring import Lattice, PeriodicColoring, canonical, parse
-from pcg.perfect import Violation, check
+from pcg.coloring import Lattice, PeriodicColoring, WindowColoring, canonical, parse
+from pcg.grid import GridAutomorphism, Vec2, d4_elements
+from pcg.orbits import StabilizerGroup
+from pcg.perfect import QuotientMatrix, Violation, _counts, check, profile
 from pcg.search import SearchSpec, matrices_conjugate
 
 _Sym = TypeVar("_Sym")
@@ -85,3 +89,77 @@ def brute_maximal_periods(F: PeriodicColoring) -> Lattice:
         if all(F.color_at((x + tx, y + ty)) == c for (x, y), c in cells):
             vecs.append((tx, ty))
     return Lattice.from_vectors(*vecs)
+
+
+def brute_translate(F: PeriodicColoring, t: Vec2) -> PeriodicColoring:
+    """The same answer as F.translate(t), read cell by cell with color_at."""
+    tx, ty = t
+    rows = tuple(
+        tuple(F.color_at((x - tx, y - ty)) for x in range(F.lattice.w))
+        for y in range(F.lattice.h)
+    )
+    return PeriodicColoring(F.lattice, rows, F.tokens)
+
+
+def brute_transform(F: PeriodicColoring, aut: GridAutomorphism) -> PeriodicColoring:
+    """The same answer as F.transform(aut), mapping every node back by aut^-1."""
+    lat = F.lattice.transform(aut.point)
+    inv = aut.inverse()
+    rows = tuple(
+        tuple(F.color_at(inv.apply((x, y))) for x in range(lat.w))
+        for y in range(lat.h)
+    )
+    return PeriodicColoring(lat, rows, F.tokens)
+
+
+def brute_rebase(F: PeriodicColoring, lat: Lattice) -> PeriodicColoring:
+    """The same answer as F.rebase(lat), testing every cell with color_at."""
+    cells = tuple(F.cells())
+    for bx, by in lat.basis:
+        for (x, y), c in cells:
+            if F.color_at((x + bx, y + by)) != c:
+                raise ValueError(f"({bx},{by}) is not a period of the coloring")
+    rows = tuple(
+        tuple(F.color_at((x, y)) for x in range(lat.w)) for y in range(lat.h)
+    )
+    return PeriodicColoring(lat, rows, F.tokens)
+
+
+def brute_window(
+    F: PeriodicColoring, origin: Vec2, width: int, height: int
+) -> WindowColoring:
+    """The same answer as F.window(...), read cell by cell with color_at."""
+    ox, oy = origin
+    cells = tuple(
+        tuple(F.color_at((ox + c, oy + r)) for c in range(width))
+        for r in range(height)
+    )
+    return WindowColoring(origin, width, height, cells)
+
+
+def brute_check(F: PeriodicColoring) -> Union[QuotientMatrix, Violation]:
+    """The same answer as check(F), with one `profile` per cell."""
+    seen: dict[int, tuple[int, int, int, int]] = {}
+    for v, c in F.cells():
+        p = profile(F, v)
+        ref = seen.setdefault(c, p)
+        if p != ref:
+            return Violation(node=v, color=c, expected=_counts(ref, F.n), observed=p)
+    return tuple(_counts(seen[i], F.n) for i in range(1, F.n + 1))
+
+
+def brute_stabilizer(F: PeriodicColoring) -> StabilizerGroup:
+    """The same group as stabilizer(F), testing every (g, t) on every cell."""
+    lat = brute_maximal_periods(F)
+    base = brute_rebase(F, lat)
+    cells = tuple(base.cells())
+    elements = []
+    for g in d4_elements():
+        if lat.transform(g) != lat:
+            continue
+        for t in lat.domain():
+            aut = GridAutomorphism(g, t)
+            if all(base.color_at(aut.apply(v)) == c for v, c in cells):
+                elements.append(aut)
+    elements.sort(key=lambda a: (a.point, a.shift))
+    return StabilizerGroup(lat, tuple(elements))

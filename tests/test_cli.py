@@ -3,11 +3,15 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pcg import fixtures
 from pcg.cli import _build_parser, main
 from pcg.coloring import parse, render
 from pcg.perfect import Violation, check
+
+from test_coloring import garbled_renderings
 
 
 @pytest.fixture
@@ -275,6 +279,8 @@ def test_enumerate_bad_lattice_is_usage_error(capsys):
         (["classify", "LONG_NUMBER"], "too many digits"),
         # a width of about 8,000 digits, which str() refuses to print
         (["classify", "WIDE"], "more cells than the text holds"),
+        # periods are ASCII digits only, as render writes them
+        (["classify", "NON_ASCII"], "expected 'periods (a,b) (c,d)'"),
     ],
 )
 def test_bad_arguments_are_usage_errors(paths, capsys, tmp_path, argv, message):
@@ -284,6 +290,7 @@ def test_bad_arguments_are_usage_errors(paths, capsys, tmp_path, argv, message):
         "BINARY": b"\xff\xfe",
         "LONG_NUMBER": b"# pcg v1\nperiods (1" + b"0" * 5000 + b",0) (0,1)\n1\n",
         "WIDE": b"# pcg v1\nperiods (" + nines + b",1) (0," + nines + b")\n1\n",
+        "NON_ASCII": "# pcg v1\nperiods (\u0662,0) (0,\uff11)\na b\n".encode(),
     }
     subst = {"FILE": paths("II-base"), "OUT": str(out_path)}
     for name, data in files.items():
@@ -293,6 +300,35 @@ def test_bad_arguments_are_usage_errors(paths, capsys, tmp_path, argv, message):
     assert code == 2
     assert message in err and out == ""
     assert not out_path.exists()
+
+
+FILE_COMMANDS = (
+    "verify", "quotient", "classify", "twins", "orbit", "diagonals",
+    "stationary", "audit", "equiv",
+)
+
+
+@given(
+    cmd=st.sampled_from(FILE_COMMANDS),
+    as_json=st.booleans(),
+    text=st.one_of(st.text(), garbled_renderings()),
+)
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_main_exits_cleanly_on_any_file(tmp_path, capsys, cmd, as_json, text):
+    """Every subcommand that reads a file exits 0, 1 or 2 and raises
+    nothing, whatever the file holds; `--json` where a subcommand has no
+    such flag is a usage error. `enumerate` is left out: the torus it
+    searches is named on the command line, so its run time is not
+    bounded by the input text."""
+    path = tmp_path / "fuzz.pcg"
+    path.write_text(text, encoding="utf-8")
+    argv = [cmd, str(path)] + [str(path)] * (cmd == "equiv") + ["--json"] * as_json
+    assert main(argv) in (0, 1, 2)
+    capsys.readouterr()
 
 
 def test_main_runs_the_same_when_called_again(paths, capsys):

@@ -16,12 +16,22 @@ from pcg.coloring import (
     maximal_periods,
     parse,
     render,
+    translations,
 )
 from pcg.grid import GridAutomorphism, d4_elements
 from pcg.orbits import orbits, stabilizer
 from pcg.perfect import check
 
-from oracle import brute_least_translation, brute_maximal_periods
+from oracle import (
+    brute_check,
+    brute_least_translation,
+    brute_maximal_periods,
+    brute_rebase,
+    brute_stabilizer,
+    brute_transform,
+    brute_translate,
+    brute_window,
+)
 
 
 def small_lattices():
@@ -275,6 +285,9 @@ def test_window_contents_and_mask():
     assert W.get((2, 1)) == F.color_at((2, 1))
     assert W.get((3, 0)) is None
     assert len(list(W.nodes())) == 6
+    for width, height in [(0, 2), (2, 0), (-1, 3), (3, -2)]:
+        with pytest.raises(ValueError, match="at least 1x1"):
+            F.window((1, -1), width, height)
 
 
 # maximal periods and canonical forms
@@ -321,6 +334,33 @@ def test_translation_kernels_match_full_scans(block, data):
     F = PeriodicColoring(lat, _rows(flat, lat))
     # past the cache, so every example runs the kernel
     assert maximal_periods.__wrapped__(F) == brute_maximal_periods(F)
+    # list rows, as the search leaf has them, must match tuple rows
+    lists = [list(row) for row in F.rows]
+    periods = [t for t in lat.domain() if brute_translate(F, t) == F]
+    assert list(translations(lists, F.rows, lat)) == periods
+    # every shifted or rotated read of F against its cell-by-cell version
+    aut, t, origin = data.draw(auts), data.draw(vecs), data.draw(vecs)
+    assert F.transform(aut) == brute_transform(F, aut)
+    assert F.translate(t) == brute_translate(F, t)
+    side = st.integers(1, 2 * max(lat.w, lat.h) + 3)
+    width, height = data.draw(side), data.draw(side)
+    assert F.window(origin, width, height) == brute_window(F, origin, width, height)
+    assert check.__wrapped__(F) == brute_check(F)
+    (w, _), (s, h) = lat.basis
+    i, j, k = (data.draw(st.integers(lo, 3)) for lo in (1, 1, 0))
+    tiles = Lattice.from_vectors((i * w, 0), (j * s + k * w, j * h))
+    for L in (maximal_periods(F), tiles, data.draw(small_lattices())):
+        assert _outcome(F.rebase, L) == _outcome(brute_rebase, F, L)
+    group = stabilizer.__wrapped__(F)
+    assert group == brute_stabilizer(F) and group.order <= 8
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return str(e)
 
 
 def test_canonical_frozen_examples():

@@ -15,6 +15,7 @@ from pcg.orbits import (
     stabilizer,
 )
 
+from oracle import brute_stabilizer
 from test_coloring import colorings
 
 FROZEN_ORDERS = {
@@ -31,6 +32,14 @@ FROZEN_ORDERS = {
 def test_stabilizer_orders_frozen():
     for fid, order in FROZEN_ORDERS.items():
         assert stabilizer(fixtures.get(fid)).order == order, fid
+
+
+def test_stabilizer_matches_full_scan(corpus, small_sweep):
+    # at most one shift per point map on the maximal lattice
+    for F in [*corpus.values(), *small_sweep]:
+        group = stabilizer(F)
+        assert group == brute_stabilizer(F)
+        assert group.order <= 8
 
 
 def test_stabilizer_lives_on_the_maximal_lattice():
