@@ -12,6 +12,12 @@ to color 1 and introducing new colors in increasing order; full
 deduplication happens afterwards through canonical forms, so point
 symmetries need no special treatment during search.
 
+Each node is one placement step: the new color is added to the partial
+profile of every neighbor, then each colored neighbor is checked in the
+one column that changed and the new cell in full. Undo replays the step
+for colors and profiles; only raised maxima and established rows go on
+an int trail.
+
 Rows are established sooner, and so prune sooner, when each cell's
 neighbors are colored soon after it. The cell order is therefore picked
 per lattice from nine candidates: the row-major order of each of the
@@ -35,6 +41,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass, replace
+from operator import gt, le
 from typing import Optional
 
 from .coloring import (
@@ -166,120 +173,113 @@ def _cell_order(lat: Lattice, nbr: list[tuple[int, ...]]) -> list[int]:
 
 
 class _Engine:
-    """Backtracking state for one torus; undo-logged, reusable."""
+    """Backtracking state for one torus; trail-undone, reusable. `nodes`
+    counts the colors tried at a cell, forced ones included."""
 
     def __init__(self, spec: SearchSpec):
         self.spec = spec
         lat = spec.lattice
-        self.cells = list(lat.domain())
-        self.N = len(self.cells)
-        pos = {v: i for i, v in enumerate(self.cells)}
-        self.nbr = [
-            tuple(pos[lat.reduce(u)] for u in neighbors(v)) for v in self.cells
-        ]
+        cells = list(lat.domain())
+        self.N = len(cells)
+        pos = {v: i for i, v in enumerate(cells)}
+        self.nbr = [tuple(pos[lat.reduce(u)] for u in neighbors(v)) for v in cells]
         # cells in the order the search colors them; `color` stays row-major
         self.order = _cell_order(lat, self.nbr)
-        m = spec.max_colors
+        at = {c: depth for depth, c in enumerate(self.order)}
+        # cell u is complete, all its neighbors colored, from depth done[u] on
+        self.done = [max(at[u] for u in (i, *nb)) for i, nb in enumerate(self.nbr)]
+        self.m = m = spec.max_colors
         self.color = [0] * self.N
-        self.partial = [[0] * m for _ in range(self.N)]
-        self.assigned_nbrs = [0] * self.N
+        # partial[u*m + d]: neighbors of u colored d+1. Coloring cell i with
+        # d+1 raises the entries slots[i*m + d]; before[i*m + d] holds the
+        # (neighbor, entry) pairs among them whose neighbor is colored by then.
+        self.partial = [0] * (self.N * m)
+        self.slots = [tuple(u * m + d for u in nb) for nb in self.nbr for d in range(m)]
+        self.before = [
+            tuple((u, u * m + d) for u in nb if at[u] <= at[i])
+            for i, nb in enumerate(self.nbr)
+            for d in range(m)
+        ]
         self.estab: list[Optional[tuple[int, ...]]] = [None] * (m + 1)
-        self.lmax = [[0] * m for _ in range(m + 1)]
+        self.lmax = [0] * ((m + 1) * m)  # lmax[c*m + d]
         self.lsum = [0] * (m + 1)
         self.num_used = 0
-        self.log: list[tuple] = []
+        self.trail: list[int] = []
+        self.nodes = 0
         # Leaves deduplicated by a translation-only key first; the full
         # canonical form runs once per representative afterwards.
         self.seen: set[tuple[int, ...]] = set()
         self.reps: list[tuple[tuple[int, ...], ...]] = []
 
-    # -- undo machinery ------------------------------------------------
+    def _place(self, i: int, x: int, depth: int) -> bool:
+        """Color cell i, at `depth` in the order, with x; on False the
+        caller must still undo.
 
-    def mark(self) -> int:
-        return len(self.log)
-
-    def undo_to(self, mark: int) -> None:
-        while len(self.log) > mark:
-            entry = self.log.pop()
-            kind = entry[0]
-            if kind == "p":
-                _, u, d = entry
-                self.partial[u][d] -= 1
-                self.assigned_nbrs[u] -= 1
-            elif kind == "m":
-                _, c, d, old = entry
-                self.lsum[c] += old - self.lmax[c][d]
-                self.lmax[c][d] = old
-            elif kind == "e":
-                self.estab[entry[1]] = None
-            elif kind == "c":
-                self.color[entry[1]] = 0
-            else:  # "k"
-                self.num_used -= 1
-
-    # -- constraint propagation ---------------------------------------
-
-    def _touch(self, u: int) -> bool:
-        """Re-check cell u after one of its edges got a color."""
-        c = self.color[u]
-        if c == 0:
-            return True
-        row = self.estab[c]
-        p = self.partial[u]
+        A colored neighbor's profile moved in column x-1 only, and every
+        colored cell stays within its color's established row or `lmax`,
+        so that column is all a neighbor needs checked; cell i gets the
+        full check.
+        """
+        color, partial, lmax, estab = self.color, self.partial, self.lmax, self.estab
+        m, d = self.m, x - 1
+        color[i] = x
+        if x > self.num_used:
+            self.num_used = x
+        for k in self.slots[i * m + d]:
+            partial[k] += 1
+        for u, k in self.before[i * m + d]:
+            c = color[u]
+            row = estab[c]
+            if row is not None:
+                if partial[k] > row[d]:
+                    return False
+                continue
+            j = c * m + d
+            if partial[k] > lmax[j]:
+                self.trail.append((j << 3) + lmax[j])
+                self.lsum[c] += partial[k] - lmax[j]
+                lmax[j] = partial[k]
+                if self.lsum[c] > 4:
+                    return False
+            if self.done[u] <= depth and not self._establish(u, c):
+                return False
+        p = partial[i * m : i * m + m]
+        row = estab[x]
         if row is not None:
-            if self.assigned_nbrs[u] == 4:
-                return tuple(p) == row
-            return all(a <= b for a, b in zip(p, row))
-        changed = False
-        for d, v in enumerate(p):
-            if v > self.lmax[c][d]:
-                self.log.append(("m", c, d, self.lmax[c][d]))
-                self.lsum[c] += v - self.lmax[c][d]
-                self.lmax[c][d] = v
-                changed = True
-        if changed and self.lsum[c] > 4:
+            return all(map(le, p, row))
+        j = x * m
+        if any(map(gt, p, lmax[j : j + m])):
+            for e, v in enumerate(p, j):
+                if v > lmax[e]:
+                    self.trail.append((e << 3) + lmax[e])
+                    self.lsum[x] += v - lmax[e]
+                    lmax[e] = v
+            if self.lsum[x] > 4:
+                return False
+        return self.done[i] > depth or self._establish(i, x)
+
+    def _establish(self, u: int, c: int) -> bool:
+        """Fix color c's row to the profile of its complete cell u,
+        unless a colored cell of color c already exceeds it somewhere."""
+        m = self.m
+        row = tuple(self.partial[u * m : u * m + m])
+        if any(map(gt, self.lmax[c * m : c * m + m], row)):
             return False
-        if self.assigned_nbrs[u] == 4:
-            row = tuple(p)
-            if any(a > b for a, b in zip(self.lmax[c], row)):
-                return False
-            self.estab[c] = row
-            self.log.append(("e", c))
+        self.estab[c] = row
+        self.trail.append(-c)
         return True
-
-    def assign(self, i: int, x: int) -> bool:
-        """Try coloring cell i with x; on False the caller must undo."""
-        if x == self.num_used + 1:
-            self.num_used += 1
-            self.log.append(("k",))
-        self.color[i] = x
-        self.log.append(("c", i))
-        for u in self.nbr[i]:
-            self.partial[u][x - 1] += 1
-            self.assigned_nbrs[u] += 1
-            self.log.append(("p", u, x - 1))
-            if not self._touch(u):
-                return False
-        return self._touch(i)
-
-    # -- search --------------------------------------------------------
 
     def run(
         self,
         forced: tuple[int, ...] = (),
         stop: Optional[int] = None,
         prefixes: Optional[list[tuple[int, ...]]] = None,
+        depth: int = 0,
     ) -> None:
-        self._search(0, forced, stop, prefixes)
-
-    def _search(
-        self,
-        depth: int,
-        forced: tuple[int, ...],
-        stop: Optional[int],
-        prefixes: Optional[list[tuple[int, ...]]],
-    ) -> None:
-        if stop is not None and depth == stop:
+        """Search below `depth`, trying only forced[depth] while forced
+        lasts; with `stop`, append each branch's colors of order[:stop]
+        to `prefixes` instead of going deeper."""
+        if depth == stop:
             assert prefixes is not None
             prefixes.append(tuple(self.color[i] for i in self.order[:depth]))
             return
@@ -295,11 +295,27 @@ class _Engine:
             candidates = (1,)
         else:
             candidates = range(1, min(self.num_used + 1, spec.max_colors) + 1)
+        self.nodes += len(candidates)
+        i = self.order[depth]
+        base = i * self.m - 1
+        used, trail, partial, lmax = self.num_used, self.trail, self.partial, self.lmax
         for x in candidates:
-            m = self.mark()
-            if self.assign(self.order[depth], x):
-                self._search(depth + 1, forced, stop, prefixes)
-            self.undo_to(m)
+            mark = len(trail)
+            if self._place(i, x, depth):
+                self.run(forced, stop, prefixes, depth + 1)
+            # Undo: the color, the partials and num_used are replayed;
+            # the trail holds lmax raises as (j << 3) + old and rows as -c.
+            self.color[i] = 0
+            for k in self.slots[base + x]:
+                partial[k] -= 1
+            self.num_used = used
+            while len(trail) > mark:
+                e = trail.pop()
+                if e < 0:
+                    self.estab[-e] = None
+                else:
+                    self.lsum[(e >> 3) // self.m] -= lmax[e >> 3] - (e & 7)
+                    lmax[e >> 3] = e & 7
 
     def _leaf(self) -> None:
         spec = self.spec
@@ -314,13 +330,9 @@ class _Engine:
         if key in self.seen:
             return
         self.seen.add(key)
-        lat = spec.lattice
-        self.reps.append(
-            tuple(
-                tuple(self.color[y * lat.w + x] for x in range(lat.w))
-                for y in range(lat.h)
-            )
-        )
+        w = spec.lattice.w
+        rows = range(0, self.N, w)
+        self.reps.append(tuple(tuple(self.color[y : y + w]) for y in rows))
 
     def canonicals(self) -> set[str]:
         lat = self.spec.lattice
@@ -331,12 +343,24 @@ def _finish(strings: set[str]) -> tuple[PeriodicColoring, ...]:
     return tuple(parse(s) for s in sorted(strings))
 
 
-def _run_prefix(args: tuple) -> list[str]:
-    w, s, h, max_colors, quotient, surjective, prefix = args
-    spec = SearchSpec(Lattice(w=w, s=s, h=h), max_colors, quotient, surjective)
-    eng = _Engine(spec)
+# This worker process's engine; see `_start_worker`.
+_worker_engine: Optional[_Engine] = None
+
+
+def _start_worker(spec: SearchSpec) -> None:
+    """Pool initializer: each worker builds one engine for all its prefixes."""
+    global _worker_engine
+    _worker_engine = _Engine(spec)
+
+
+def _run_prefix(prefix: tuple[int, ...]) -> set[str]:
+    """Canonical forms of the colorings under `prefix` that this worker's
+    engine has not met under an earlier prefix."""
+    eng = _worker_engine
+    assert eng is not None
+    eng.reps.clear()
     eng.run(forced=prefix)
-    return sorted(eng.canonicals())
+    return eng.canonicals()
 
 
 # Answers by D4-representative spec, oldest first; see enumerate_colorings.
@@ -378,29 +402,19 @@ def enumerate_colorings(
 def _enumerate(spec: SearchSpec, jobs: int) -> tuple[PeriodicColoring, ...]:
     """enumerate_colorings on exactly `spec`, uncached."""
     jobs = min(jobs, os.cpu_count() or 1)
+    eng = _Engine(spec)
     if jobs <= 1:
-        eng = _Engine(spec)
         eng.run()
         return _finish(eng.canonicals())
     depth = 1
-    prefixes: list[tuple[int, ...]] = []
-    eng = _Engine(spec)
     while True:
-        prefixes = []
+        prefixes: list[tuple[int, ...]] = []
         eng.run(stop=depth, prefixes=prefixes)
         if not prefixes:
             return ()
         if len(prefixes) >= 4 * jobs or depth >= spec.lattice.index:
             break
         depth += 1
-    lat = spec.lattice
-    args = [
-        (lat.w, lat.s, lat.h, spec.max_colors, spec.quotient, spec.surjective, p)
-        for p in prefixes
-    ]
-    with multiprocessing.Pool(jobs) as pool:
-        chunks = pool.map(_run_prefix, args)
-    merged: set[str] = set()
-    for chunk in chunks:
-        merged.update(chunk)
-    return _finish(merged)
+    with multiprocessing.Pool(jobs, _start_worker, (spec,)) as pool:
+        chunks = pool.map(_run_prefix, prefixes, chunksize=1)
+    return _finish(set().union(*chunks))

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pcg import fixtures
@@ -313,6 +313,7 @@ FILE_COMMANDS = (
     as_json=st.booleans(),
     text=st.one_of(st.text(), garbled_renderings()),
 )
+@example(cmd="verify", as_json=False, text="\ud800# pcg v1\nperiods (1,0) (0,1)\n1\n")
 @settings(
     max_examples=200,
     deadline=None,
@@ -325,7 +326,8 @@ def test_main_exits_cleanly_on_any_file(tmp_path, capsys, cmd, as_json, text):
     searches is named on the command line, so its run time is not
     bounded by the input text."""
     path = tmp_path / "fuzz.pcg"
-    path.write_text(text, encoding="utf-8")
+    # a lone surrogate has no strict UTF-8 form; write its bytes anyway
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
     argv = [cmd, str(path)] + [str(path)] * (cmd == "equiv") + ["--json"] * as_json
     assert main(argv) in (0, 1, 2)
     capsys.readouterr()

@@ -152,8 +152,9 @@ def test_jobs_capped_at_cpu_count(monkeypatch):
     sizes = []
 
     class InlinePool:
-        def __init__(self, processes):
+        def __init__(self, processes, initializer, initargs):
             sizes.append(processes)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -161,14 +162,37 @@ def test_jobs_capped_at_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, args):
+        def map(self, fn, args, chunksize):
             return list(map(fn, args))
 
     monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    # the initializer runs here, in this process; drop its engine afterwards
+    monkeypatch.setattr(search, "_worker_engine", None)
     sp = spec(4, 0, 2, 4, surjective=False)
     assert _enumerate(sp, jobs=64) == _enumerate(sp, jobs=1)
     assert sizes == [3]
+
+
+def nodes(sp):
+    eng = _Engine(sp)  # built directly, so the memo cannot serve it
+    eng.run()
+    return eng.nodes
+
+
+def test_search_visits_the_pinned_tree():
+    """Colors tried per search, forced ones included. The counts pin the
+    tree the prunes cut: a cheaper node must visit the same one, and a
+    weaker prune, which the output cannot show, changes them."""
+    assert nodes(spec(8, 0, 4, 4)) == 62_569
+    assert nodes(spec(6, 0, 4, 5)) == 76_688
+    assert nodes(spec(6, 0, 6, 4)) == 253_970
+    assert nodes(spec(4, 0, 4, 4)) == 25_424
+    assert nodes(spec(5, 2, 2, 4)) == 2_389
+    lattices = _lattices_up_to_index(16)  # the small_sweep lattices
+    assert len(lattices) == 220
+    lax = [SearchSpec(lat, min(5, lat.index), surjective=False) for lat in lattices]
+    assert sum(map(nodes, lax)) == 1_742_410
 
 
 @pytest.fixture
