@@ -15,10 +15,6 @@ from typing import Iterator
 Vec2 = tuple[int, int]
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
-# East, west, south, north. y grows downward in rendered grids, so
-# "south" is +y; nothing below depends on that reading, only the order.
-NEIGHBOR_STEPS: tuple[Vec2, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
-
 IDENTITY: Mat2 = ((1, 0), (0, 1))
 
 

@@ -69,28 +69,18 @@ def orbits(F: PeriodicColoring) -> tuple[tuple[Vec2, ...], ...]:
 
     Each orbit is sorted row-major and orbits are listed by their least
     cell; every orbit is monochromatic, so they always refine colors.
+    The stabilizer is a verified group, so a cell's images are its orbit.
     """
     group = stabilizer(F)
     lat = group.lattice
-    parent: dict[Vec2, Vec2] = {v: v for v in lat.domain()}
-
-    def find(v: Vec2) -> Vec2:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for aut in group.elements:
-        for v in lat.domain():
-            a, b = find(v), find(lat.reduce(aut.apply(v)))
-            if a != b:
-                parent[a] = b
-    buckets: dict[Vec2, list[Vec2]] = {}
+    seen: set[Vec2] = set()
+    out = []
     for v in lat.domain():
-        buckets.setdefault(find(v), []).append(v)
-    groups = [tuple(sorted(vs, key=lambda v: (v[1], v[0]))) for vs in buckets.values()]
-    groups.sort(key=lambda orb: (orb[0][1], orb[0][0]))
-    return tuple(groups)
+        if v not in seen:
+            orb = {lat.reduce(a.apply(v)) for a in group.elements}
+            seen |= orb
+            out.append(tuple(sorted(orb, key=lambda u: (u[1], u[0]))))
+    return tuple(out)
 
 
 def is_orbit(F: PeriodicColoring) -> bool:
@@ -117,30 +107,17 @@ class OrbitReport:
 
 def orbit_report(F: PeriodicColoring) -> OrbitReport:
     """Orbit decision plus the first same-color pair no symmetry joins."""
-    group = stabilizer(F)
     parts = orbits(F)
-    base = F.rebase(group.lattice)
-    owner: dict[Vec2, int] = {}
-    for i, orb in enumerate(parts):
-        for v in orb:
-            owner[v] = i
-    pair = None
-    by_color: dict[int, list[Vec2]] = {}
-    for v, c in base.cells():
-        by_color.setdefault(c, []).append(v)
-    for c in range(1, base.n + 1):
-        vs = by_color[c]
-        first = vs[0]
-        for v in vs[1:]:
-            if owner[v] != owner[first]:
-                pair = (first, v)
-                break
-        if pair:
-            break
+    # the pair is the least cells of the first two orbits of the least split color
+    heads: dict[int, list[Vec2]] = {}
+    for orb in parts:
+        heads.setdefault(F.color_at(orb[0]), []).append(orb[0])
+    split = [vs for _, vs in sorted(heads.items()) if len(vs) > 1]
+    pair = (split[0][0], split[0][1]) if split else None
     return OrbitReport(
         is_orbit=pair is None,
         num_orbits=len(parts),
-        stabilizer_order=group.order,
+        stabilizer_order=stabilizer(F).order,
         counterexample_pair=pair,
     )
 

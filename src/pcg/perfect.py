@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from typing import NamedTuple, Optional, Union
+from typing import Any, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .coloring import CACHE_SIZE, Lattice, PeriodicColoring, WindowColoring
-from .grid import NEIGHBOR_STEPS, Vec2, neighbors, parity
+from .coloring import CACHE_SIZE, Lattice, PeriodicColoring, WindowColoring, _block
+from .grid import Vec2, neighbors, parity
 
 QuotientMatrix = tuple[tuple[int, ...], ...]
 
@@ -58,17 +57,25 @@ def _counts(colors: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(row)
 
 
+def _stars(cells: Sequence[Sequence[Any]]) -> Iterator[tuple[Any, ...]]:
+    """Row-major (x, y, color, neighbor colors) of the block's interior cells."""
+    for y, (up, row, down) in enumerate(zip(cells, cells[1:], cells[2:]), 1):
+        cols = zip(row, row[1:], row[2:], down[1:], up[1:])
+        for x, (west, c, east, south, north) in enumerate(cols, 1):
+            yield x, y, c, (east, west, south, north)
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def check(F: PeriodicColoring) -> Union[QuotientMatrix, Violation]:
     """The quotient matrix of F, or the first violation in row-major order."""
-    w, h = F.lattice.w, F.lattice.h
-    # each cell's neighbor at every step, row-major like F.cells()
-    around = [chain(*F.window(step, w, h).cells) for step in NEIGHBOR_STEPS]
-    seen: dict[int, tuple[int, int, int, int]] = {}
-    for (v, c), *nbrs in zip(F.cells(), *around):
+    lat = F.lattice
+    # the domain with a one-cell rim, so block cell (x, y) is node (x-1, y-1)
+    seen: dict[int, tuple[int, ...]] = {}
+    for x, y, c, nbrs in _stars(_block(F.rows, lat, -1, -1, lat.w + 2, lat.h + 2)):
         p = tuple(sorted(nbrs))
         ref = seen.setdefault(c, p)
         if p != ref:
+            v = (x - 1, y - 1)
             return Violation(node=v, color=c, expected=_counts(ref, F.n), observed=p)
     return tuple(_counts(seen[i], F.n) for i in range(1, F.n + 1))
 
@@ -175,18 +182,20 @@ def node_type(F: PeriodicColoring, v: Vec2, a: int, b: int) -> NodeType:
     return NodeType(p.count(a), p.count(b))
 
 
+def _mixed_colors(F: PeriodicColoring) -> set[int]:
+    """The colors whose domain cells lie on both parity classes."""
+    even, odd = set(), set()
+    for y, row in enumerate(F.rows):
+        even.update(row[y & 1 :: 2])
+        odd.update(row[1 - (y & 1) :: 2])
+    return even & odd
+
+
 def is_bipartite(F: PeriodicColoring) -> bool:
     """True when each color lives entirely on one parity class."""
     lat = F.lattice
     # an odd-sum period drags every color class across both parities
-    if (lat.w & 1) or ((lat.s + lat.h) & 1):
-        return False
-    par: dict[int, int] = {}
-    for v, c in F.cells():
-        p = parity(v)
-        if par.setdefault(c, p) != p:
-            return False
-    return True
+    return not ((lat.w & 1) or ((lat.s + lat.h) & 1) or _mixed_colors(F))
 
 
 def _even_sublattice(lat: Lattice) -> Lattice:
@@ -212,12 +221,7 @@ def refine_bipartite(F: PeriodicColoring) -> PeriodicColoring:
     if is_bipartite(F):
         return F
     base = F.rebase(_even_sublattice(F.lattice))
-    mixed = set()
-    par: dict[int, int] = {}
-    for v, c in base.cells():
-        p = parity(v)
-        if par.setdefault(c, p) != p:
-            mixed.add(c)
+    mixed = _mixed_colors(base)
     ids: dict[tuple[int, int], int] = {}
     tokens: list[str] = []
     rows = []
@@ -247,16 +251,13 @@ def verify_window(W: WindowColoring, S: QuotientMatrix) -> tuple[Violation, ...]
         raise ValueError("window must be at least 3x3")
     n = len(S)
     out = []
-    for v in W.nodes():
-        c = W.get(v)
-        if c is None:
-            continue
-        around = [W.get(u) for u in neighbors(v)]
-        if any(a is None for a in around):
+    for x, y, c, around in _stars(W.cells):
+        if c is None or None in around:
             continue
         observed = tuple(sorted(around))
         m = max(n, observed[-1])
         want = tuple(S[c - 1]) + (0,) * (m - n) if c <= n else None
         if want != _counts(observed, m):
+            v = (W.origin[0] + x, W.origin[1] + y)
             out.append(Violation(node=v, color=c, expected=want, observed=observed))
     return tuple(out)

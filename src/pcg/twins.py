@@ -16,6 +16,7 @@ from typing import Optional
 
 from .coloring import PeriodicColoring
 from .grid import Vec2
+from .orbits import is_orbit
 from .perfect import QuotientMatrix, quotient
 
 # Offsets at which a covering without equal rows never repeats a color:
@@ -152,8 +153,6 @@ def dichotomy_audit(F: PeriodicColoring) -> DichotomyReport:
     Other perfect colorings satisfy the dichotomy vacuously; the report
     still carries their twin pairs and orbit-ness.
     """
-    from .orbits import is_orbit  # local import, orbits also uses this module's types
-
     S = quotient(F)
     covering = covering_target(S) is not None
     twins = twin_pairs(S)

@@ -1,15 +1,17 @@
 """Slow references that keep the fast paths honest: a pruning-free
 enumerator for the tree search, full-scan versions of the translation
-kernels in pcg.coloring, and cell-by-cell versions of every shifted or
+kernels in pcg.coloring, cell-by-cell versions of every shifted or
 rotated read of a coloring (translate, transform, rebase, window, the
-perfectness check and the stabilizer)."""
+perfectness check and the stabilizer), a node-by-node window check,
+and a union-find over the stabilizer's moves for the orbits and the
+orbit report."""
 
 import itertools
 from typing import Optional, Sequence, TypeVar, Union
 
 from pcg.coloring import Lattice, PeriodicColoring, WindowColoring, canonical, parse
-from pcg.grid import GridAutomorphism, Vec2, d4_elements
-from pcg.orbits import StabilizerGroup
+from pcg.grid import GridAutomorphism, Vec2, d4_elements, neighbors
+from pcg.orbits import OrbitReport, StabilizerGroup, stabilizer
 from pcg.perfect import QuotientMatrix, Violation, _counts, check, profile
 from pcg.search import SearchSpec, matrices_conjugate
 
@@ -163,3 +165,82 @@ def brute_stabilizer(F: PeriodicColoring) -> StabilizerGroup:
                 elements.append(aut)
     elements.sort(key=lambda a: (a.point, a.shift))
     return StabilizerGroup(lat, tuple(elements))
+
+
+def brute_verify_window(
+    W: WindowColoring, S: QuotientMatrix
+) -> tuple[Violation, ...]:
+    """The same answer as verify_window(W, S), asking W.get for every node."""
+    if W.width < 3 or W.height < 3:
+        raise ValueError("window must be at least 3x3")
+    n = len(S)
+    out = []
+    for v in W.nodes():
+        c = W.get(v)
+        if c is None:
+            continue
+        around = [W.get(u) for u in neighbors(v)]
+        if any(a is None for a in around):
+            continue
+        observed = tuple(sorted(around))
+        m = max(n, observed[-1])
+        want = tuple(S[c - 1]) + (0,) * (m - n) if c <= n else None
+        if want != _counts(observed, m):
+            out.append(Violation(node=v, color=c, expected=want, observed=observed))
+    return tuple(out)
+
+
+def brute_orbits(F: PeriodicColoring) -> tuple[tuple[Vec2, ...], ...]:
+    """The same answer as orbits(F), joining v and aut(v) in a union-find."""
+    group = stabilizer(F)
+    lat = group.lattice
+    parent: dict[Vec2, Vec2] = {v: v for v in lat.domain()}
+
+    def find(v: Vec2) -> Vec2:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for aut in group.elements:
+        for v in lat.domain():
+            a, b = find(v), find(lat.reduce(aut.apply(v)))
+            if a != b:
+                parent[a] = b
+    buckets: dict[Vec2, list[Vec2]] = {}
+    for v in lat.domain():
+        buckets.setdefault(find(v), []).append(v)
+    groups = [tuple(sorted(vs, key=lambda v: (v[1], v[0]))) for vs in buckets.values()]
+    groups.sort(key=lambda orb: (orb[0][1], orb[0][0]))
+    return tuple(groups)
+
+
+def brute_orbit_report(F: PeriodicColoring) -> OrbitReport:
+    """The same report as orbit_report(F), scanning each color's cells in
+    row-major order for the first one outside the first cell's orbit."""
+    group = stabilizer(F)
+    parts = brute_orbits(F)
+    base = F.rebase(group.lattice)
+    owner: dict[Vec2, int] = {}
+    for i, orb in enumerate(parts):
+        for v in orb:
+            owner[v] = i
+    pair = None
+    by_color: dict[int, list[Vec2]] = {}
+    for v, c in base.cells():
+        by_color.setdefault(c, []).append(v)
+    for c in range(1, base.n + 1):
+        vs = by_color[c]
+        first = vs[0]
+        for v in vs[1:]:
+            if owner[v] != owner[first]:
+                pair = (first, v)
+                break
+        if pair:
+            break
+    return OrbitReport(
+        is_orbit=pair is None,
+        num_orbits=len(parts),
+        stabilizer_order=group.order,
+        counterexample_pair=pair,
+    )

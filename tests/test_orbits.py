@@ -1,11 +1,13 @@
 """Stabilizer groups, their orbits, and the orbit-coloring decision."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from pcg import fixtures
 from pcg.coloring import Lattice, maximal_periods
-from pcg.grid import GridAutomorphism, IDENTITY
+from pcg.grid import GridAutomorphism, IDENTITY, d4_elements
 from pcg.orbits import (
     ball_similar,
     find_automorphism,
@@ -15,7 +17,7 @@ from pcg.orbits import (
     stabilizer,
 )
 
-from oracle import brute_stabilizer
+from oracle import brute_orbit_report, brute_orbits, brute_stabilizer
 from test_coloring import colorings
 
 FROZEN_ORDERS = {
@@ -85,6 +87,19 @@ def test_orbits_partition_the_torus_and_refine_colors():
         base = F.rebase(lat)
         for orb in parts:
             assert len({base.color_at(v) for v in orb}) == 1
+
+
+def test_orbits_and_report_match_union_find(corpus, small_sweep):
+    # every corpus coloring under every point map with a random shift
+    rng = random.Random(9)
+    moved = [
+        F.transform(GridAutomorphism(g, (rng.randint(-6, 6), rng.randint(-6, 6))))
+        for F in corpus.values()
+        for g in d4_elements()
+    ]
+    for F in [*corpus.values(), *moved, *small_sweep]:
+        assert orbits(F) == brute_orbits(F)
+        assert orbit_report(F) == brute_orbit_report(F)
 
 
 def test_orbit_flags_on_corpus():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcg import fixtures
-from pcg.coloring import parse
+from pcg.coloring import WindowColoring, parse
 from pcg.perfect import (
     DetailedBalanceError,
     NotPerfectError,
@@ -25,6 +25,7 @@ from pcg.perfect import (
     verify_window,
 )
 
+from oracle import brute_verify_window
 from test_coloring import colorings
 
 
@@ -232,9 +233,24 @@ def test_verify_window_flags_a_planted_defect():
     S = quotient(F)
     cells = [[F.color_at((x, y)) for x in range(6)] for y in range(6)]
     cells[2][3] = cells[2][3] % 2 + 1  # flip one interior cell
-    from pcg.coloring import WindowColoring
-
     W = WindowColoring((0, 0), 6, 6, tuple(tuple(r) for r in cells))
     bad = verify_window(W, S)
     assert bad
     assert any(v.node == (3, 2) for v in bad)
+
+
+@given(st.sampled_from(fixtures.fixture_ids()), st.data())
+@settings(max_examples=80, deadline=None)
+def test_verify_window_matches_node_by_node(fid, data):
+    F = fixtures.get(fid)
+    S = quotient(F)
+    at, side = st.integers(-20, 20), st.integers(3, 12)
+    W = F.window((data.draw(at), data.draw(at)), data.draw(side), data.draw(side))
+    size = W.width * W.height
+    # about one cell in eight is masked
+    keep = iter(data.draw(st.lists(st.integers(0, 7), min_size=size, max_size=size)))
+    cells = tuple(tuple(c if next(keep) else None for c in row) for row in W.cells)
+    W = WindowColoring(W.origin, W.width, W.height, cells)
+    assert verify_window(W, S) == brute_verify_window(W, S) == ()
+    wrong = tuple(row[::-1] for row in S)
+    assert verify_window(W, wrong) == brute_verify_window(W, wrong)
