@@ -197,16 +197,7 @@ class PeriodicColoring:
     def transform(self, aut: GridAutomorphism) -> PeriodicColoring:
         """The coloring v -> F(aut^-1(v)); the lattice follows the point part."""
         lat = self.lattice.transform(aut.point)
-        inv = aut.inverse()
-        # the image block shows the box between the images of its corners,
-        # transposed if the point part swaps the axes, reversed where it flips
-        corners = inv.apply((0, 0)), inv.apply((lat.w - 1, lat.h - 1))
-        (x0, x1), (y0, y1) = (sorted(p) for p in zip(*corners))
-        rows = _block(self.rows, self.lattice, x0, y0, x1 - x0 + 1, y1 - y0 + 1)
-        (a, b), (c, d) = inv.point
-        if a == 0:
-            rows = tuple(zip(*rows))
-        rows = tuple(row[:: a + c] for row in rows[:: b + d])
+        rows = _image(self.rows, self.lattice, lat, aut)
         return PeriodicColoring(lat, rows, self.tokens)
 
     def relabel(self, perm: dict[int, int]) -> PeriodicColoring:
@@ -355,10 +346,14 @@ def render(F: PeriodicColoring, ids: bool = False) -> str:
     return _text(F.lattice, [toks[c - 1].ljust(width) for row in F.rows for c in row])
 
 
+def _periods_line(lat: Lattice) -> str:
+    return f"periods ({lat.w},0) ({lat.s},{lat.h})"
+
+
 def _text(lat: Lattice, cells: Sequence[str]) -> str:
     """PCG text for a row-major block of equal-width tokens on `lat`."""
     w = lat.w
-    lines = [_HEADER, f"periods ({w},0) ({lat.s},{lat.h})"]
+    lines = [_HEADER, _periods_line(lat)]
     lines += (" ".join(cells[i : i + w]).rstrip() for i in range(0, len(cells), w))
     return "\n".join(lines) + "\n"
 
@@ -378,6 +373,27 @@ def _block(
     long = [tuple(row) * ((width - 2) // w + 2) for row in rows]
     cuts = ((y % h, (x0 - y // h * s) % w) for y in range(y0, y0 + height))
     return tuple(long[r][cut : cut + width] for r, cut in cuts)
+
+
+def _image(
+    rows: Rows, lattice: Lattice, image_lattice: Lattice, aut: GridAutomorphism
+) -> tuple[tuple[int, ...], ...]:
+    """The fundamental domain of v -> F(aut^-1(v)) on `image_lattice`.
+
+    `rows` is the fundamental domain of F on `lattice`, and `image_lattice`
+    is ``lattice.transform(aut.point)``.
+    """
+    inv = aut.inverse()
+    # the image block shows the box between the images of its corners,
+    # transposed if the point part swaps the axes, reversed where it flips
+    w, h = image_lattice.w, image_lattice.h
+    corners = inv.apply((0, 0)), inv.apply((w - 1, h - 1))
+    (x0, x1), (y0, y1) = (sorted(p) for p in zip(*corners))
+    block = _block(rows, lattice, x0, y0, x1 - x0 + 1, y1 - y0 + 1)
+    (a, b), (c, d) = inv.point
+    if a == 0:
+        block = tuple(zip(*block))
+    return tuple(row[:: a + c] for row in block[:: b + d])
 
 
 def translations(src: Rows, dst: Rows, lattice: Lattice) -> Iterator[Vec2]:
@@ -418,42 +434,64 @@ def least_translation(
     `flat` holds the colors 1..n (n <= len(symbols)) of the fundamental
     domain of `lattice`, row-major. Each translation of the torus is read
     row-major with its k-th new color (counting from 0) written as
-    ``symbols[k]``; the least of the resulting tuples is returned.
+    ``symbols[k]``; the least of the resulting tuples is returned. Needs
+    ``symbols[0] < symbols[1]`` and raises ValueError otherwise.
 
-    Candidates are built a row at a time. A candidate is dropped at the
-    first row that is greater than the same row of the least one so far;
-    once a row is smaller, the candidate is the new least and is finished
-    without further comparisons. Every candidate has the same length, so
-    this is the lexicographic minimum over the full tuples.
+    A candidate's first row starts with ``symbols[0]`` over the run of its
+    first color, then ``symbols[1]``, so only the candidates whose leading
+    run is the longest (capped at w) can be least; the others are skipped
+    before any cell is relabeled. Candidates are built a row at a time. A
+    candidate is dropped at the first row that is greater than the same
+    row of the least one so far; once a row is smaller, the candidate is
+    the new least and is finished without further comparisons. Every
+    candidate has the same length, so this is the lexicographic minimum
+    over the full tuples.
     """
+    if len(symbols) > 1 and not symbols[0] < symbols[1]:
+        raise ValueError("least_translation needs symbols[0] < symbols[1]")
     w, h = lattice.w, lattice.h
     rows = [flat[i : i + w] for i in range(0, h * w, w)]
     around = _block(rows, lattice, 0, -h, 2 * w, 2 * h)
+    # the first row of candidate (tx, ty) is around[h - ty] from column w - tx;
+    # one backward pass gives the run of equal colors from every column
+    starts: list[tuple[int, int]] = []
+    longest = 0
+    for ty in range(h):
+        row = around[h - ty]
+        runs = [1] * (2 * w)
+        for x in range(2 * w - 2, 0, -1):
+            if row[x] == row[x + 1]:
+                runs[x] = min(runs[x + 1] + 1, w)
+        for tx in range(w):
+            run = runs[w - tx]
+            if run > longest:
+                longest, starts = run, []
+            if run == longest:
+                starts.append((tx, ty))
     unset: list[Optional[_Sym]] = [None] * (len(symbols) + 1)
     best: Optional[list[tuple[_Sym, ...]]] = None
-    for ty in range(h):
-        for tx in range(w):
-            perm = unset[:]
-            fresh = iter(symbols)
-            cand: list[tuple[_Sym, ...]] = []
-            smaller = best is None
-            for y in range(h):
-                out = []
-                for c in around[h - ty + y][w - tx : 2 * w - tx]:
-                    p = perm[c]
-                    if p is None:
-                        perm[c] = p = next(fresh)
-                    out.append(p)
-                row = tuple(out)
-                if not smaller:
-                    least = best[y]
-                    if row > least:
-                        break
-                    smaller = row < least
-                cand.append(row)
-            else:
-                if smaller:
-                    best = cand
+    for tx, ty in starts:
+        perm = unset[:]
+        fresh = iter(symbols)
+        cand: list[tuple[_Sym, ...]] = []
+        smaller = best is None
+        for y in range(h):
+            out = []
+            for c in around[h - ty + y][w - tx : 2 * w - tx]:
+                p = perm[c]
+                if p is None:
+                    perm[c] = p = next(fresh)
+                out.append(p)
+            row = tuple(out)
+            if not smaller:
+                least = best[y]
+                if row > least:
+                    break
+                smaller = row < least
+            cand.append(row)
+        else:
+            if smaller:
+                best = cand
     assert best is not None
     return tuple(c for row in best for c in row)
 
@@ -468,21 +506,27 @@ def canonical(F: PeriodicColoring) -> str:
     ``test_canonical_matches_definition`` in tests/test_coloring.py
     checks this against the definition, the least of
     ``render(base.transform(g).translate(t).relabel_first_occurrence(), ids=True)``.
+
+    No periods line is a proper prefix of another, so images on different
+    lattices are ordered by that line alone: only the images whose periods
+    text is least are read and scanned, and among them the least
+    `least_translation` tuple wins.
     """
-    base = F.rebase(maximal_periods(F))
+    lat = maximal_periods(F)
+    base = F.rebase(lat)
+    images = [(g, lat.transform(g)) for g in d4_elements()]
+    least = min((L for _, L in images), key=_periods_line)
     width = len(str(base.n))
     # Padded ids order like the rendered text ("1 " < "10" < "2 "); ints
     # would not once there are ten colors.
     symbols = tuple(str(i).ljust(width) for i in range(1, base.n + 1))
-    best: Optional[str] = None
-    for g in d4_elements():
-        T = base.transform(GridAutomorphism(g, (0, 0)))
-        flat = [c for row in T.rows for c in row]
-        cand = _text(T.lattice, least_translation(flat, T.lattice, symbols))
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
+    keys = []
+    for g, L in images:
+        if L == least:
+            rows = _image(base.rows, lat, L, GridAutomorphism(g, (0, 0)))
+            flat = [c for row in rows for c in row]
+            keys.append(least_translation(flat, L, symbols))
+    return _text(least, min(keys))
 
 
 def equivalent(F: PeriodicColoring, G: PeriodicColoring) -> bool:

@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .coloring import CACHE_SIZE, Lattice, PeriodicColoring, maximal_periods
-from .coloring import translations
+from .coloring import _image, translations
 from .grid import GridAutomorphism, Vec2, ball, d4_elements
 
 
@@ -46,7 +46,7 @@ def stabilizer(F: PeriodicColoring) -> StabilizerGroup:
     elements = []
     for g in d4_elements():
         if lat.transform(g) == lat:
-            image = base.transform(GridAutomorphism(g, (0, 0))).rows
+            image = _image(base.rows, lat, lat, GridAutomorphism(g, (0, 0)))
             for t in translations(image, base.rows, lat):
                 elements.append(GridAutomorphism(g, t))
     elements.sort(key=lambda a: (a.point, a.shift))

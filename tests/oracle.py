@@ -1,15 +1,16 @@
 """Slow references that keep the fast paths honest: a pruning-free
 enumerator for the tree search, full-scan versions of the translation
-kernels in pcg.coloring, cell-by-cell versions of every shifted or
-rotated read of a coloring (translate, transform, rebase, window, the
-perfectness check and the stabilizer), a node-by-node window check,
-and a union-find over the stabilizer's moves for the orbits and the
-orbit report."""
+kernels in pcg.coloring, a canonical form that scans every D4 image in
+full, cell-by-cell versions of every shifted or rotated read of a
+coloring (translate, transform, rebase, window, the perfectness check
+and the stabilizer), a node-by-node window check, and a union-find over
+the stabilizer's moves for the orbits and the orbit report."""
 
 import itertools
 from typing import Optional, Sequence, TypeVar, Union
 
-from pcg.coloring import Lattice, PeriodicColoring, WindowColoring, canonical, parse
+from pcg.coloring import Lattice, PeriodicColoring, WindowColoring, _text, canonical
+from pcg.coloring import parse
 from pcg.grid import GridAutomorphism, Vec2, d4_elements, neighbors
 from pcg.orbits import OrbitReport, StabilizerGroup, stabilizer
 from pcg.perfect import QuotientMatrix, Violation, _counts, check, profile
@@ -79,6 +80,20 @@ def brute_least_translation(
                 best = cand
     assert best is not None
     return best
+
+
+def brute_canonical(F: PeriodicColoring) -> str:
+    """The same answer as canonical(F), scanning all eight D4 images in full."""
+    base = brute_rebase(F, brute_maximal_periods(F))
+    width = len(str(base.n))
+    symbols = tuple(str(i).ljust(width) for i in range(1, base.n + 1))
+    texts = []
+    for g in d4_elements():
+        T = brute_transform(base, GridAutomorphism(g, (0, 0)))
+        flat = [c for row in T.rows for c in row]
+        least = brute_least_translation(flat, T.lattice, symbols)
+        texts.append(_text(T.lattice, least))
+    return min(texts)
 
 
 def brute_maximal_periods(F: PeriodicColoring) -> Lattice:

@@ -23,6 +23,7 @@ from pcg.orbits import orbits, stabilizer
 from pcg.perfect import check
 
 from oracle import (
+    brute_canonical,
     brute_check,
     brute_least_translation,
     brute_maximal_periods,
@@ -86,6 +87,21 @@ def tiled_blocks(draw):
     big = Lattice.from_vectors((i * w, 0), (j * s + k * w, j * h))
     G = PeriodicColoring(tile, _rows(flat, tile)).rebase(big)
     return [c for row in G.rows for c in row], big
+
+
+@st.composite
+def long_runs(draw):
+    """A few-color block of long runs on a lattice up to 12 wide, w = 1
+    included, so leading runs tie, fill whole rows and reach the cap w."""
+    w = draw(st.integers(1, 12))
+    h = draw(st.integers(1, min(12, 48 // w)))
+    lat = Lattice(w, draw(st.integers(0, w - 1)), h)
+    cells: list[int] = []
+    while len(cells) < lat.index:
+        cells += [draw(st.integers(1, 3))] * draw(st.integers(1, 2 * w))
+    # squash the palette down to 1..k, every color used
+    ids: dict[int, int] = {}
+    return [ids.setdefault(c, len(ids) + 1) for c in cells[: lat.index]], lat
 
 
 def _rows(flat, lat):
@@ -319,8 +335,8 @@ def test_maximal_periods_contains_declared_lattice(F):
 
 @pytest.mark.parametrize(
     "block",
-    [blocks(), tiled_blocks(), blocks(max_side=6, colors=(10, 14))],
-    ids=["sheared", "tiled", "ten_colors"],
+    [blocks(), tiled_blocks(), blocks(max_side=6, colors=(10, 14)), long_runs()],
+    ids=["sheared", "tiled", "ten_colors", "long_runs"],
 )
 @given(data=st.data())
 @settings(max_examples=150)
@@ -355,6 +371,16 @@ def test_translation_kernels_match_full_scans(block, data):
     assert group == brute_stabilizer(F) and group.order <= 8
 
 
+def test_least_translation_needs_ascending_first_symbols():
+    # the leading-run prefilter keeps the longest runs of symbols[0]
+    lat = Lattice(3, 0, 1)
+    for symbols in ("ba", "aa", (1, 0)):
+        with pytest.raises(ValueError):
+            least_translation([1, 2, 2], lat, symbols)
+    assert least_translation([1, 2, 2], lat, "ab") == ("a", "a", "b")
+    assert least_translation([1, 1, 1], lat, "a") == ("a", "a", "a")
+
+
 def _outcome(fn, *args):
     """The value of fn(*args), or the message of the ValueError it raises."""
     try:
@@ -374,6 +400,29 @@ def test_canonical_frozen_examples():
     assert canonical(parse(TEN_COLORS)) == (
         "# pcg v1\nperiods (3,0) (0,4)\n1  2  3\n4  5  6\n1  7  8\n9  10 5\n"
     )
+    # periods lines order as text, "(10,0) (0,3)" before "(3,0) (0,10)",
+    # and the diagonal flip of S lies on the (3,0) (0,10) lattice
+    S = (
+        "# pcg v1\nperiods (10,0) (0,3)\n1 1 2 1 1 2 3 3 2 3\n"
+        "2 1 3 1 3 3 1 1 3 1\n3 1 3 3 1 3 1 1 2 1\n"
+    )
+    flip = parse(S).transform(GridAutomorphism(((0, 1), (1, 0)), (0, 0)))
+    assert flip.lattice == Lattice(3, 0, 10)
+    assert canonical(flip) == S
+
+
+@given(
+    st.one_of(
+        blocks(), tiled_blocks(), blocks(max_side=6, colors=(10, 14)), long_runs()
+    )
+)
+@example(([1] * 6, Lattice(3, 1, 2)))
+@settings(max_examples=200)
+def test_canonical_matches_full_scan(block):
+    # past the cache, so every example runs the pruned scan
+    flat, lat = block
+    F = PeriodicColoring(lat, _rows(flat, lat))
+    assert canonical.__wrapped__(F) == brute_canonical(F)
 
 
 @given(colorings())
