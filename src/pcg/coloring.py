@@ -270,6 +270,12 @@ class WindowColoring:
             len(r) != self.width for r in self.cells
         ):
             raise ValueError("cell block does not match the window dimensions")
+        if any(
+            c is not None and not (isinstance(c, int) and c >= 1)
+            for row in self.cells
+            for c in row
+        ):
+            raise ValueError("window cells must be colors >= 1 or None")
 
     def get(self, v: Vec2) -> Optional[int]:
         """Color at v, or None outside the window or on a masked cell."""

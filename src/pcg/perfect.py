@@ -112,24 +112,18 @@ def path_count(F: PeriodicColoring, v: Vec2, colors: tuple[int, ...]) -> int:
     return walk(v, tuple(colors))
 
 
-def _mat_mul(a: QuotientMatrix, b: QuotientMatrix) -> QuotientMatrix:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 def dk(S: QuotientMatrix, b: int, b2: int, k: int) -> int:
     """(S^k)[b][b2]: walks of length k from any b-node to b2-nodes."""
     if k < 0:
         raise ValueError("k must be >= 0")
     n = len(S)
-    power: QuotientMatrix = tuple(
-        tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-    )
+    if not (1 <= b <= n and 1 <= b2 <= n):
+        raise ValueError(f"colors must be between 1 and {n}")
+    cols = tuple(zip(*S))
+    row = tuple(int(i == b - 1) for i in range(n))  # row b of S^0
     for _ in range(k):
-        power = _mat_mul(power, S)
-    return power[b - 1][b2 - 1]
+        row = tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
+    return row[b2 - 1]
 
 
 def stationary(S: QuotientMatrix) -> tuple[Fraction, ...]:

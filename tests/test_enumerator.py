@@ -16,6 +16,7 @@ from pcg.report import classify
 from pcg.search import (
     SearchSpec,
     _Engine,
+    _d4_representative,
     _enumerate,
     enumerate_colorings,
     matrices_conjugate,
@@ -79,6 +80,8 @@ def test_matches_brute_oracle():
         spec(4, 1, 2, 4, surjective=False),
         spec(7, 3, 1, 4, surjective=False),
     ]
+    for sp in cases[-2:]:
+        assert _Engine(sp).order != list(range(sp.lattice.index))
     for sp in cases:
         fast = {canonical(F) for F in _enumerate(sp, jobs=1)}
         slow = {canonical(F) for F in brute_oracle(sp)}
@@ -105,11 +108,6 @@ def test_cell_order_is_a_permutation():
     for lat in _lattices_up_to_index(12):
         order = _Engine(SearchSpec(lat, 1)).order
         assert sorted(order) == list(range(lat.index)), lat
-
-
-@pytest.mark.parametrize("lat", [Lattice(4, 1, 2), Lattice(7, 3, 1)])
-def test_cell_order_leaves_row_major_when_it_pays(lat):
-    assert _Engine(SearchSpec(lat, 1)).order != list(range(lat.index))
 
 
 def test_surjective_flag_semantics():
@@ -183,26 +181,36 @@ def nodes(sp):
 def test_search_visits_the_pinned_tree():
     """Colors tried per search, forced ones included. The counts pin the
     tree the prunes cut: a cheaper node must visit the same one, and a
-    weaker prune, which the output cannot show, changes them."""
-    assert nodes(spec(8, 0, 4, 4)) == 62_569
-    assert nodes(spec(6, 0, 4, 5)) == 76_688
-    assert nodes(spec(6, 0, 6, 4)) == 253_970
-    assert nodes(spec(4, 0, 4, 4)) == 25_424
-    assert nodes(spec(5, 2, 2, 4)) == 2_389
+    weaker prune, which the output cannot show, changes them. Every spec
+    is a D4 representative, the only kind `enumerate_colorings` searches."""
+    pinned = {
+        spec(4, 0, 8, 4): 62_569,
+        spec(4, 0, 6, 5): 76_688,
+        spec(6, 0, 6, 4): 253_970,
+        spec(4, 0, 4, 4): 25_424,
+        spec(5, 2, 2, 4): 2_389,
+    }
+    for sp, count in pinned.items():
+        assert _d4_representative(sp) == sp
+        assert nodes(sp) == count, sp
     lattices = _lattices_up_to_index(16)  # the small_sweep lattices
     assert len(lattices) == 220
-    lax = [SearchSpec(lat, min(5, lat.index), surjective=False) for lat in lattices]
-    assert sum(map(nodes, lax)) == 1_742_410
+    lax = {
+        _d4_representative(SearchSpec(lat, min(5, lat.index), surjective=False))
+        for lat in lattices
+    }
+    assert len(lax) == 87
+    assert sum(map(nodes, lax)) == 610_725
 
 
 @pytest.fixture
 def engines(monkeypatch):
-    """An empty memo, and the lattice of every _Engine built from now on."""
+    """An empty memo, and the spec of every _Engine built from now on."""
     built = []
 
     class CountingEngine(_Engine):
         def __init__(self, spec):
-            built.append(spec.lattice)
+            built.append(spec)
             super().__init__(spec)
 
     monkeypatch.setattr(search, "_memo", {})
@@ -222,6 +230,14 @@ def test_d4_images_are_served_from_the_memo(engines):
         assert enumerate_colorings(SearchSpec(image, 4, surjective=False)) == want
     assert len(engines) == 1
     assert want == _enumerate(SearchSpec(lat, 4, surjective=False), jobs=1)
+
+
+def test_searches_run_only_on_d4_representatives(engines):
+    # off the representative the tree can grow; see _enumerate
+    # widest first, so the first lattice met of a class is seldom its least
+    for lat in reversed(_lattices_up_to_index(10)):
+        enumerate_colorings(SearchSpec(lat, min(3, lat.index), surjective=False))
+    assert engines and all(sp == _d4_representative(sp) for sp in engines)
 
 
 def test_jobs_is_not_part_of_the_memo_key(engines, monkeypatch):

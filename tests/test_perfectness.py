@@ -154,6 +154,10 @@ def test_dk_known_values():
     assert dk(S, 4, 4, 4) == 256
     with pytest.raises(ValueError):
         dk(S, 1, 1, -1)
+    n = len(S)
+    for b, b2 in ((0, 1), (1, 0), (n + 1, 1), (1, n + 1)):
+        with pytest.raises(ValueError):
+            dk(S, b, b2, 1)
 
 
 def test_dk_counts_grid_walks():
@@ -237,6 +241,16 @@ def test_verify_window_flags_a_planted_defect():
     bad = verify_window(W, S)
     assert bad
     assert any(v.node == (3, 2) for v in bad)
+
+
+@pytest.mark.parametrize("bad", [0, -1, "2"])
+def test_window_rejects_cells_that_are_not_colors(bad):
+    # verify_window would read color 0 as color n through S[c - 1]: a
+    # checkerboard with every 2 replaced by 0 would verify clean
+    W = fixtures.checkerboard().window((0, 0), 4, 4)
+    cells = tuple(tuple(bad if c == 2 else c for c in row) for row in W.cells)
+    with pytest.raises(ValueError):
+        WindowColoring(W.origin, W.width, W.height, cells)
 
 
 @given(st.sampled_from(fixtures.fixture_ids()), st.data())
