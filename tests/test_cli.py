@@ -250,6 +250,18 @@ def test_enumerate_with_quotient_constraint(paths, capsys, tmp_path):
     assert out.startswith("total 1\n")
 
 
+def test_enumerate_quotient_of_other_size_is_usage_error(capsys, tmp_path):
+    # the checkerboard has 2 colors; a surjective 3-color search matches none
+    chk = tmp_path / "chk.pcg"
+    chk.write_text(render(fixtures.checkerboard()))
+    code, out, err = run(
+        capsys, "enumerate", "--width", "2", "--height", "2", "--colors", "3",
+        "--quotient", str(chk),
+    )
+    assert code == 2 and out == ""
+    assert "max_colors" in err
+
+
 def test_enumerate_bad_lattice_is_usage_error(capsys):
     code, out, err = run(
         capsys, "enumerate", "--width", "0", "--height", "2", "--colors", "2"

@@ -1,5 +1,6 @@
 """Exhaustive torus enumeration against the brute-force oracle."""
 
+import hashlib
 import multiprocessing
 import os
 from dataclasses import replace
@@ -43,6 +44,12 @@ def test_spec_validation():
         SearchSpec(Lattice(2, 0, 2), 2, quotient=((0, 4), (5, -1)))  # negative
     with pytest.raises(ValueError):
         SearchSpec(Lattice(2, 0, 2), 2, quotient=((0, 3), (3, 0)))  # rows sum to 3
+    with pytest.raises(ValueError):
+        SearchSpec(Lattice(2, 0, 2), 2, quotient=(), surjective=False)  # empty
+    with pytest.raises(ValueError):
+        SearchSpec(Lattice(2, 0, 2), 3, quotient=((0, 4), (4, 0)))  # 2 of 3 colors
+    # a lax search may use fewer colors than it allows
+    SearchSpec(Lattice(2, 0, 2), 3, quotient=((0, 4), (4, 0)), surjective=False)
 
 
 def test_frozen_counts_small_tori():
@@ -79,6 +86,9 @@ def test_matches_brute_oracle():
         # lattices whose search order is not row-major
         spec(4, 1, 2, 4, surjective=False),
         spec(7, 3, 1, 4, surjective=False),
+        # cells that are their own neighbors, where the diagonal rule prunes
+        spec(1, 0, 7, 4, surjective=False),
+        spec(2, 1, 4, 3, surjective=False),
     ]
     for sp in cases:
         fast = {canonical(F) for F in _enumerate(sp, jobs=1)}
@@ -185,13 +195,16 @@ def test_search_visits_the_pinned_tree():
     """Colors tried per search, forced ones included. The counts pin the
     tree the prunes cut: a cheaper node must visit the same one, and a
     weaker prune, which the output cannot show, changes them. Every spec
-    is a D4 representative, the only kind `enumerate_colorings` searches."""
+    is a D4 representative, the only kind `enumerate_colorings` searches.
+    The rule that color 1 has the largest diagonal quotient entry lowered
+    every count; the read-only pre-check runs after a node is counted,
+    so it changes none."""
     pinned = {
-        spec(4, 0, 8, 4): 62_569,
-        spec(4, 0, 6, 5): 76_688,
-        spec(6, 0, 6, 4): 253_970,
-        spec(4, 0, 4, 4): 25_424,
-        spec(5, 2, 2, 4): 2_389,
+        spec(4, 0, 8, 4): 47_901,
+        spec(4, 0, 6, 5): 61_223,
+        spec(6, 0, 6, 4): 185_500,
+        spec(4, 0, 4, 4): 20_176,
+        spec(5, 2, 2, 4): 1_937,
     }
     for sp, count in pinned.items():
         assert _d4_representative(sp) == sp
@@ -203,7 +216,16 @@ def test_search_visits_the_pinned_tree():
         for lat in lattices
     }
     assert len(lax) == 87
-    assert sum(map(nodes, lax)) == 610_725
+    assert sum(map(nodes, lax)) == 475_363
+
+
+def test_small_sweep_output_is_pinned(small_sweep):
+    """A prune that loses a coloring of index <= 16 changes this digest."""
+    assert len(small_sweep) == 2_333
+    digest = hashlib.sha256("".join(map(canonical, small_sweep)).encode())
+    assert digest.hexdigest() == (
+        "fc8878ccb9ef20d09e16c85ac12981d478e7d9532105a6818b5f3bf5e450b271"
+    )
 
 
 @pytest.fixture
