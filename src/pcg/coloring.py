@@ -520,19 +520,26 @@ def canonical(F: PeriodicColoring) -> str:
     """
     lat = maximal_periods(F)
     base = F.rebase(lat)
-    images = [(g, lat.transform(g)) for g in d4_elements()]
-    least = min((L for _, L in images), key=_periods_line)
+    least, auts = _least_images(lat)
     width = len(str(base.n))
     # Padded ids order like the rendered text ("1 " < "10" < "2 "); ints
     # would not once there are ten colors.
     symbols = tuple(str(i).ljust(width) for i in range(1, base.n + 1))
     keys = []
-    for g, L in images:
-        if L == least:
-            rows = _image(base.rows, lat, L, GridAutomorphism(g, (0, 0)))
-            flat = [c for row in rows for c in row]
-            keys.append(least_translation(flat, L, symbols))
+    for aut in auts:
+        rows = _image(base.rows, lat, least, aut)
+        flat = [c for row in rows for c in row]
+        keys.append(least_translation(flat, least, symbols))
     return _text(least, min(keys))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _least_images(lat: Lattice) -> tuple[Lattice, tuple[GridAutomorphism, ...]]:
+    """The D4 image of `lat` with the least periods line, and the point
+    maps that carry `lat` onto it."""
+    images = [(g, lat.transform(g)) for g in d4_elements()]
+    least = min((L for _, L in images), key=_periods_line)
+    return least, tuple(GridAutomorphism(g, (0, 0)) for g, L in images if L == least)
 
 
 def equivalent(F: PeriodicColoring, G: PeriodicColoring) -> bool:

@@ -22,13 +22,13 @@ established row, else its partial maximum in column c) passes color
 partial maxima). Both bounds only tighten with depth.
 
 Each node is one placement step. A read-only pre-check first tests the
-new color against the established rows of the cell's colored
-neighbors, so most rejected colors write nothing. Then the color is
-added to the partial profile of every neighbor, each colored neighbor is
-checked in the one column that changed and the new cell in full. Undo
-replays the step for colors and profiles; only raised maxima and
-established rows go on an int trail. The tables the step reads are laid
-out by depth in the cell order.
+new color at each colored neighbor in the one column that changes,
+against the established row or else the row-sum bound. It is exact, so
+once the step writes (the color goes into every neighbor's profile and
+the maxima rise) only the new cell's full check and the diagonal rule
+can reject. Undo replays the step for colors and profiles; only raised
+maxima and established rows go on an int trail. The tables the step
+reads are laid out by depth in the cell order.
 
 Rows are established sooner, and so prune sooner, when each cell's
 neighbors are colored soon after it, so the engine colors cells in a
@@ -50,17 +50,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass, replace
-from operator import gt, le
+from operator import gt, itemgetter, le
 from typing import Optional
 
-from .coloring import (
-    CACHE_SIZE,
-    Lattice,
-    PeriodicColoring,
-    canonical,
-    least_translation,
-    parse,
-)
+from .coloring import CACHE_SIZE, Lattice, PeriodicColoring, canonical, parse
 from .grid import d4_elements, neighbors
 from .perfect import QuotientMatrix
 
@@ -124,6 +117,13 @@ def matrices_conjugate(A: QuotientMatrix, B: QuotientMatrix) -> bool:
         return False
 
     return place(0)
+
+
+def _first_occurrence(text: str) -> str:
+    """`text` with its k-th distinct character, counting from 0 in order
+    of first occurrence, written as chr(k)."""
+    firsts = dict.fromkeys(map(ord, text))
+    return text.translate(dict(zip(firsts, range(len(firsts)))))
 
 
 def _greedy_order(nbr: list[tuple[int, ...]]) -> list[int]:
@@ -194,21 +194,16 @@ class _Engine:
         self.num_used = 0
         self.trail: list[int] = []
         self.nodes = 0
-        # Leaves deduplicated by a translation-only key first; the full
-        # canonical form runs once per representative afterwards.
-        self.seen: set[tuple[int, ...]] = set()
+        # Leaves are deduplicated up to translation first; `seen` holds the
+        # first-occurrence key of every translate of every representative,
+        # the nonzero ones read through `shifts`. The full canonical form
+        # runs once per representative afterwards.
+        self.shifts = [
+            itemgetter(*(pos[lat.reduce((x + tx, y + ty))] for x, y in cells))
+            for tx, ty in cells[1:]
+        ]
+        self.seen: set[str] = set()
         self.reps: list[tuple[tuple[int, ...], ...]] = []
-
-    def _establish(self, u: int, c: int) -> bool:
-        """Fix color c's row to the profile of its complete cell u,
-        unless a colored cell of color c already exceeds it somewhere."""
-        m = self.m
-        row = tuple(self.partial[u * m : u * m + m])
-        if any(map(gt, self.lmax[c * m : c * m + m], row)):
-            return False
-        self.estab[c] = row
-        self.trail.append(-c)
-        return True
 
     def _diagonal_holds(self) -> bool:
         """Can color 1 still have the largest diagonal entry S(c,c)? A
@@ -234,7 +229,10 @@ class _Engine:
         Coloring cell i with x moves a colored neighbor's profile in
         column x-1 only, and every colored cell stays within its color's
         established row or `lmax`, so that column is all a neighbor needs
-        checked; cell i gets the full check.
+        checked; cell i gets the full check. A complete cell u of a color
+        c with no row establishes it: u's profile sums to 4, and lies
+        within `lmax[c]`, whose sum is at most 4, so it equals `lmax[c]`
+        and fits every cell of color c.
         """
         if depth == stop:
             assert prefixes is not None
@@ -260,10 +258,15 @@ class _Engine:
         for x in candidates:
             d, t = x - 1, depth * m + x - 1
             near = near_at[t]
-            # Reads only: x must fit the rows established before this step.
+            # Reads only: x must fit each neighbor's row, established or
+            # bounded by its sum; the step raises no entry further.
             for u, k, times, _ in near:
-                row = estab[color[u]]
-                if row is not None and partial[k] + times > row[d]:
+                c = color[u]
+                row = estab[c]
+                if row is None:
+                    if partial[k] + times - lmax[c * m + d] > 4 - lsum[c]:
+                        break
+                elif partial[k] + times > row[d]:
                     break
             else:
                 mark = len(trail)
@@ -273,39 +276,35 @@ class _Engine:
                     partial[k] += 1
                 for u, k, _, complete in near:
                     c = color[u]
-                    row = estab[c]
-                    if row is not None:
-                        if partial[k] > row[d]:  # a row established this step
-                            break
+                    if estab[c] is not None:
                         continue
                     j = c * m + d
                     if partial[k] > lmax[j]:
                         trail.append((j << 3) + lmax[j])
                         lsum[c] += partial[k] - lmax[j]
                         lmax[j] = partial[k]
-                        if lsum[c] > 4:
-                            break
-                    if complete and not self._establish(u, c):
-                        break
+                    if complete:
+                        estab[c] = tuple(partial[k - d : k - d + m])
+                        trail.append(-c)
+                p = partial[i * m : i * m + m]
+                row = estab[x]
+                if row is not None:
+                    fits = all(map(le, p, row))
                 else:
-                    p = partial[i * m : i * m + m]
-                    row = estab[x]
-                    if row is not None:
-                        fits = all(map(le, p, row))
-                    else:
-                        j = x * m
-                        if any(map(gt, p, lmax[j : j + m])):
-                            for e, v in enumerate(p, j):
-                                if v > lmax[e]:
-                                    trail.append((e << 3) + lmax[e])
-                                    lsum[x] += v - lmax[e]
-                                    lmax[e] = v
-                        fits = lsum[x] <= 4 and (
-                            not self.closes[depth] or self._establish(i, x)
-                        )
-                    # the diagonal rule can only newly fail if the trail grew
-                    if fits and (len(trail) == mark or self._diagonal_holds()):
-                        self.run(forced, stop, prefixes, depth + 1)
+                    j = x * m
+                    if any(map(gt, p, lmax[j : j + m])):
+                        for e, v in enumerate(p, j):
+                            if v > lmax[e]:
+                                trail.append((e << 3) + lmax[e])
+                                lsum[x] += v - lmax[e]
+                                lmax[e] = v
+                    fits = lsum[x] <= 4
+                    if fits and self.closes[depth]:
+                        estab[x] = tuple(p)
+                        trail.append(-x)
+                # the diagonal rule can only newly fail if the trail grew
+                if fits and (len(trail) == mark or self._diagonal_holds()):
+                    self.run(forced, stop, prefixes, depth + 1)
                 # Undo: the color, the partials and num_used are replayed;
                 # the trail holds lmax raises as (j << 3) + old and rows as -c.
                 color[i] = 0
@@ -329,10 +328,12 @@ class _Engine:
             S = tuple(tuple(self.estab[c][:k]) for c in range(1, k + 1))
             if not matrices_conjugate(S, spec.quotient):
                 return
-        key = least_translation(self.color, spec.lattice, range(k))
+        text = "".join(map(chr, self.color))
+        key = _first_occurrence(text)
         if key in self.seen:
             return
         self.seen.add(key)
+        self.seen.update(_first_occurrence("".join(g(text))) for g in self.shifts)
         w = spec.lattice.w
         rows = range(0, self.N, w)
         self.reps.append(tuple(tuple(self.color[y : y + w]) for y in rows))

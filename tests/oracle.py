@@ -1,5 +1,6 @@
 """Slow references that keep the fast paths honest: a pruning-free
-enumerator for the tree search, full-scan versions of the translation
+enumerator for the tree search, a least-translation key for its leaf
+dedup, full-scan versions of the translation
 kernels in pcg.coloring, a canonical form that scans every D4 image in
 full, cell-by-cell versions of every shifted or rotated read of a
 coloring (translate, transform, rebase, window, the perfectness check
@@ -10,7 +11,7 @@ import itertools
 from typing import Optional, Sequence, TypeVar, Union
 
 from pcg.coloring import Lattice, PeriodicColoring, WindowColoring, _text, canonical
-from pcg.coloring import parse
+from pcg.coloring import least_translation, parse
 from pcg.grid import GridAutomorphism, Vec2, d4_elements, neighbors
 from pcg.orbits import OrbitReport, StabilizerGroup, stabilizer
 from pcg.perfect import QuotientMatrix, Violation, _counts, check, profile
@@ -50,6 +51,13 @@ def brute_oracle(spec: SearchSpec) -> tuple[PeriodicColoring, ...]:
             continue
         out.add(canonical(F))
     return tuple(parse(s) for s in sorted(out))
+
+
+def translation_key(flat: Sequence[int], lattice: Lattice) -> tuple[int, ...]:
+    """One key per class of a row-major cell block under torus translations
+    and color renaming: its least first-occurrence relabeling over every
+    translation, as the search leaf computed it before keying translates."""
+    return least_translation(flat, lattice, range(max(flat)))
 
 
 def brute_least_translation(

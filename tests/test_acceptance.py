@@ -151,14 +151,29 @@ def _walk_color_counts(F, v, k):
     return out
 
 
+def _walk_sequence_counts(F, v, longest):
+    """Brute number of grid walks from v of each length 1..longest, by the
+    color sequence they step on."""
+    tally = {}
+    front = [(v, ())]
+    for _ in range(longest):
+        front = [(w, seq + (F.color_at(w),)) for u, seq in front for w in neighbors(u)]
+        for _, seq in front:
+            tally[seq] = tally.get(seq, 0) + 1
+    return tally
+
+
 def test_a08_path_counts_and_walk_powers(capsys):
     bad = []
     for fid in ALL_IDS:
         F = fixtures.get(fid)
         S = check(F)
         n = F.n
+        probed = set()  # path_count runs at the first base node of each color
+        powers = {}  # dk(S, b, b2, k) by (b, b2, k), the same from every b-node
         for v in F.lattice.domain():
             b = F.color_at(v)
+            tally = _walk_sequence_counts(F, v, 3)
             for length in (1, 2, 3):
                 for seq in itertools.product(range(1, n + 1), repeat=length):
                     prod = 1
@@ -166,19 +181,26 @@ def test_a08_path_counts_and_walk_powers(capsys):
                     for c in seq:
                         prod *= S[prev - 1][c - 1]
                         prev = c
-                    if path_count(F, v, seq) != prod:
+                    walks = tally.get(seq, 0)
+                    if walks != prod:
                         bad.append((fid, v, seq))
+                    if b not in probed and path_count(F, v, seq) != walks:
+                        bad.append((fid, v, seq, "path_count"))
+            probed.add(b)
             for k in range(5):
                 counts = _walk_color_counts(F, v, k)
                 for b2 in range(1, n + 1):
-                    if counts[b2] != dk(S, b, b2, k):
+                    if (b, b2, k) not in powers:
+                        powers[b, b2, k] = dk(S, b, b2, k)
+                    if counts[b2] != powers[b, b2, k]:
                         bad.append((fid, v, k, b2))
     _report(
         capsys,
         "A8",
         not bad,
         "brute path counts match entry products (len<=3) and walk counts match"
-        f" matrix powers (k<=4) from every base node" + (f"; bad: {bad[:3]}" if bad else ""),
+        " matrix powers (k<=4) from every base node, and path_count matches the"
+        " brute counts from a node of each color" + (f"; bad: {bad[:3]}" if bad else ""),
     )
 
 

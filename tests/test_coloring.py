@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from pcg import fixtures
 from pcg.coloring import (
     CACHE_SIZE,
+    _least_images,
     Lattice,
     PcgParseError,
     PeriodicColoring,
@@ -474,7 +475,7 @@ def test_equivalent_separates_different_colorings():
 
 @pytest.mark.parametrize(
     "fn",
-    [check, canonical, maximal_periods, stabilizer, orbits],
+    [check, canonical, _least_images, maximal_periods, stabilizer, orbits],
     ids=lambda fn: fn.__name__,
 )
 def test_analysis_caches_are_bounded(fn):

@@ -1,6 +1,7 @@
 """Exhaustive torus enumeration against the brute-force oracle."""
 
 import hashlib
+import itertools
 import multiprocessing
 import os
 from dataclasses import replace
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcg import fixtures, search
-from pcg.coloring import CACHE_SIZE, Lattice, canonical, parse
+from pcg.coloring import CACHE_SIZE, Lattice, PeriodicColoring, canonical, parse
 from pcg.grid import d4_elements
 from pcg.perfect import Violation, check, quotient
 from pcg.report import classify
@@ -19,12 +20,13 @@ from pcg.search import (
     _Engine,
     _d4_representative,
     _enumerate,
+    _first_occurrence,
     enumerate_colorings,
     matrices_conjugate,
 )
 
 from conftest import _lattices_up_to_index
-from oracle import brute_oracle
+from oracle import brute_oracle, translation_key
 
 
 def spec(w, s, h, colors, **kw):
@@ -226,6 +228,97 @@ def test_small_sweep_output_is_pinned(small_sweep):
     assert digest.hexdigest() == (
         "fc8878ccb9ef20d09e16c85ac12981d478e7d9532105a6818b5f3bf5e450b271"
     )
+
+
+@pytest.mark.parametrize(
+    "shape, count, digest",
+    [
+        ((4, 8, 4), 32, "cc05ff6e0bc2397c74765041be39b2eff1f70e95bbb08937221cf7625d486dd3"),
+        ((4, 6, 5), 5, "24f7128bec493990a17016a71256c4b307ac7c2258051ee516c28b68232a9a27"),
+        ((6, 6, 4), 22, "864e4f10ad944970a9b7fe96a850a50b78c02d5f93693a86148cca5fb0c88676"),
+    ],
+    ids=["4x8/4", "4x6/5", "6x6/4"],
+)
+def test_torus_output_is_pinned(shape, count, digest):
+    """The benchmark's torus shapes: a prune or a leaf dedup that loses
+    or duplicates a coloring changes the count or the digest."""
+    w, h, colors = shape
+    got = _enumerate(spec(w, 0, h, colors), jobs=1)
+    assert len(got) == count
+    assert hashlib.sha256("".join(map(canonical, got)).encode()).hexdigest() == digest
+
+
+def test_first_occurrence_key_with_many_colors():
+    colors = [12, 3, 12, 7, 1, 3, 9, 10, 11, 2, 4, 5, 6, 8, 1, 12]
+    F = PeriodicColoring(Lattice(len(colors), 0, 1), (tuple(colors),))
+    want = [c - 1 for c in F.relabel_first_occurrence().rows[0]]
+    key = _first_occurrence("".join(map(chr, colors)))
+    assert [ord(c) for c in key] == want
+    assert max(want) == 11
+    # the key sees only which cells share a color
+    renamed = [13 - c for c in colors]
+    assert _first_occurrence("".join(map(chr, renamed))) == key
+    merged = [3 if c == 1 else c for c in colors]
+    assert _first_occurrence("".join(map(chr, merged))) != key
+
+
+def _flat(rows):
+    return tuple(itertools.chain.from_iterable(rows))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_leaf_dedup_keeps_one_coloring_per_translation_class(data):
+    """Against the least-translation key of tests/oracle.py: the engine
+    keeps one leaf of each class, in a plain run and prefix by prefix on
+    one engine as a --jobs worker does; a class it has kept is never kept
+    again, whether met again as itself or renamed and moved."""
+    lat = data.draw(st.sampled_from(_lattices_up_to_index(12)), label="lattice")
+    sp = SearchSpec(
+        lat,
+        data.draw(st.integers(1, min(4, lat.index)), label="colors"),
+        surjective=data.draw(st.booleans(), label="surjective"),
+    )
+    leaves = []
+
+    class Logged(_Engine):
+        def _leaf(self):
+            if not sp.surjective or self.num_used == sp.max_colors:
+                leaves.append(tuple(self.color))
+            super()._leaf()
+
+    eng = Logged(sp)
+    eng.run()
+    classes = sorted({translation_key(leaf, lat) for leaf in leaves})
+    assert sorted(translation_key(_flat(rows), lat) for rows in eng.reps) == classes
+
+    prefixes: list[tuple[int, ...]] = []
+    eng.run(stop=data.draw(st.integers(1, lat.index), label="depth"), prefixes=prefixes)
+    worker = _Engine(sp)
+    replayed = []
+    saved = search._worker_engine
+    try:
+        for prefix in prefixes:
+            search._worker_engine = worker
+            search._run_prefix(prefix)
+            replayed += worker.reps
+            # the engine that has met every leaf keeps none of them again
+            search._worker_engine = eng
+            assert not search._run_prefix(prefix) and not eng.reps, prefix
+    finally:
+        search._worker_engine = saved
+    assert sorted(translation_key(_flat(rows), lat) for rows in replayed) == classes
+
+    if replayed:
+        F = PeriodicColoring(lat, data.draw(st.sampled_from(replayed), label="rep"))
+        t = data.draw(st.sampled_from(list(lat.domain())), label="shift")
+        perm = data.draw(st.permutations(range(1, F.n + 1)), label="renaming")
+        G = F.translate(t).relabel(dict(zip(range(1, F.n + 1), perm)))
+        worker.reps.clear()
+        worker.color[:] = _flat(G.rows)
+        worker.num_used = F.n
+        worker._leaf()
+        assert not worker.reps
 
 
 @pytest.fixture
