@@ -6,7 +6,7 @@
 
 Each LABEL[=CHECKOUT] names one checkout of the repository (by default
 the one holding this script). Every run is ``perfbench/run.py --workload
-W --seed S --seconds T --trace X`` of that checkout, with this Python.
+W --seed S --seconds T`` of that checkout, with this Python.
 For each workload and seed the checkouts run in turn, the first of one
 seed last in the next, so a drift in host speed falls on all alike.
 
@@ -53,12 +53,12 @@ def cpu_model() -> str:
     return platform.processor() or platform.machine()
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = [ln for ln in proc.stdout.splitlines() if ln.strip()]
-    run = {"workload": workload, "seed": seed, "seconds": seconds, "trace": trace,
+    run = {"workload": workload, "seed": seed, "seconds": seconds,
            "returncode": proc.returncode}
     if proc.returncode == 0 and len(lines) >= 2:
         run["context"] = json.loads(lines[-2]).get("context")
@@ -75,7 +75,6 @@ def main(argv: list[str] | None = None) -> int:
                     choices=["sweep", "torus", "classify"])
     ap.add_argument("--seeds", nargs="+", type=int, default=[1])
     ap.add_argument("--seconds", type=float, default=30)
-    ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
     ap.add_argument("--out-dir", type=Path, default=HERE)
     args = ap.parse_args(argv)
 
@@ -98,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
     for workload in args.workloads:
         for seed in args.seeds:
             for label, (root, record) in turn:
-                run = run_once(root, workload, seed, args.seconds, args.trace)
+                run = run_once(root, workload, seed, args.seconds)
                 record["runs"].append(run)
                 result = run.get("result", {})
                 wall = result.get("metrics", {}).get("wall_s", {}).get("value")
