@@ -14,7 +14,6 @@ import sys
 from functools import lru_cache
 from typing import Optional
 
-from . import fixtures
 from .coloring import (
     Lattice,
     PcgParseError,
@@ -244,6 +243,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_fixture(args) -> int:
+    from . import fixtures  # corpus data, read by this command alone
+
     if args.which == "list":
         for fid in fixtures.fixture_ids():
             fx = fixtures.info(fid)

@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, TypeVar
 
 from .grid import GridAutomorphism, Mat2, Vec2, d4_elements, mat_apply
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _Sym = TypeVar("_Sym")
 Rows = Sequence[Sequence[int]]
@@ -185,6 +187,8 @@ class PeriodicColoring:
 
     def densities(self) -> tuple[Fraction, ...]:
         """Fraction of the plane in each color; exact, sums to 1."""
+        from fractions import Fraction
+
         idx = self.lattice.index
         return tuple(Fraction(k, idx) for k in self.counts())
 

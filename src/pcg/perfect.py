@@ -11,12 +11,14 @@ refinement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Any, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .coloring import CACHE_SIZE, Lattice, PeriodicColoring, WindowColoring, _block
 from .grid import Vec2, neighbors, parity
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 QuotientMatrix = tuple[tuple[int, ...], ...]
 
@@ -133,6 +135,8 @@ def stationary(S: QuotientMatrix) -> tuple[Fraction, ...]:
     remaining edge is then checked, so an S that did not come from a
     perfect coloring of the grid is rejected rather than mis-solved.
     """
+    from fractions import Fraction
+
     n = len(S)
     for i in range(n):
         for j in range(n):

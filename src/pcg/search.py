@@ -47,7 +47,6 @@ lattice; `_enumerate` is the search itself, uncached.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass, replace
 from operator import gt, itemgetter, le
@@ -205,13 +204,27 @@ class _Engine:
         self.seen: set[str] = set()
         self.reps: list[tuple[tuple[int, ...], ...]] = []
 
-    def _diagonal_holds(self) -> bool:
+    def _diagonal_holds(self, x: int, top: int) -> bool:
         """Can color 1 still have the largest diagonal entry S(c,c)? A
-        lower bound on S(c,c) must not pass an upper bound on S(1,1)."""
+        lower bound on S(c,c) must not pass an upper bound on S(1,1).
+
+        Called after a step that placed color x and grew the trail, with
+        color 1's bound as it was before the step. The step can lower
+        that bound only by raising one of color 1's off-diagonal maxima,
+        and raise a lower bound only for x, through lmax[x*m + x-1];
+        establishing a row moves neither, as the row equals the maxima.
+        So only x needs a look unless color 1's bound fell.
+        """
         m, lmax, estab = self.m, self.lmax, self.estab
-        top = estab[1][0] if estab[1] else 4 - self.lsum[1] + lmax[m]
+        row = estab[1]
+        bound = row[0] if row else 4 - self.lsum[1] + lmax[m]
+        if bound == top:
+            if x == 1:
+                return True
+            row = estab[x]
+            return (row[x - 1] if row else lmax[x * m + x - 1]) <= bound
         return all(
-            (estab[c][c - 1] if estab[c] else lmax[c * m + c - 1]) <= top
+            (estab[c][c - 1] if estab[c] else lmax[c * m + c - 1]) <= bound
             for c in range(2, self.num_used + 1)
         )
 
@@ -255,6 +268,8 @@ class _Engine:
         color, partial, lmax, lsum = self.color, self.partial, self.lmax, self.lsum
         used, trail, estab = self.num_used, self.trail, self.estab
         slots, near_at = self.slots, self.near
+        first = estab[1]  # color 1's upper bound on S(1,1), for the diagonal rule
+        top = first[0] if first else 4 - lsum[1] + lmax[m]
         for x in candidates:
             d, t = x - 1, depth * m + x - 1
             near = near_at[t]
@@ -303,7 +318,7 @@ class _Engine:
                         estab[x] = tuple(p)
                         trail.append(-x)
                 # the diagonal rule can only newly fail if the trail grew
-                if fits and (len(trail) == mark or self._diagonal_holds()):
+                if fits and (len(trail) == mark or self._diagonal_holds(x, top)):
                     self.run(forced, stop, prefixes, depth + 1)
                 # Undo: the color, the partials and num_used are replayed;
                 # the trail holds lmax raises as (j << 3) + old and rows as -c.
@@ -424,6 +439,8 @@ def _enumerate(spec: SearchSpec, jobs: int) -> tuple[PeriodicColoring, ...]:
         if len(prefixes) >= 4 * jobs or depth >= spec.lattice.index:
             break
         depth += 1
+    import multiprocessing  # only the pool path pays for it
+
     with multiprocessing.Pool(jobs, _start_worker, (spec,)) as pool:
         chunks = pool.map(_run_prefix, prefixes, chunksize=1)
     return _finish(set().union(*chunks))
