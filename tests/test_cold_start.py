@@ -79,8 +79,7 @@ def test_import_loads_every_perfbench_layer():
     # a layer in a module not yet loaded would go untraced without error
     defined = {fn for fns in cold()["defined"].values() for fn in fns}
     layers = perfbench_layers()
-    assert len(layers) == 12
-    assert set(layers.values()) <= defined
+    assert layers and set(layers.values()) <= defined
 
 
 def test_lazy_commands_run_from_a_cold_start(tmp_path, capsys):
