@@ -155,13 +155,12 @@ def _cmd_orbit(args) -> int:
     rep = orbit_report(_load(args.file))
     if args.json:
         print(json.dumps(rep.to_json_dict()))
-        return 0 if rep.is_orbit else 1
-    if rep.is_orbit:
+    elif rep.is_orbit:
         print("orbit")
-        return 0
-    a, b = rep.counterexample_pair
-    print(f"not orbit: no symmetry joins {a} and {b}")
-    return 1
+    else:
+        a, b = rep.counterexample_pair
+        print(f"not orbit: no symmetry joins {a} and {b}")
+    return 0 if rep.is_orbit else 1
 
 
 def _cmd_diagonals(args) -> int:
@@ -186,14 +185,9 @@ def _cmd_shift(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    S = quotient(_load(args.quotient)) if args.quotient else None
     try:
         lat = Lattice.from_vectors((args.width, 0), (args.shear, args.height))
-    except ValueError as e:
-        raise _Usage(str(e)) from None
-    S = None
-    if args.quotient:
-        S = quotient(_load(args.quotient))
-    try:
         spec = SearchSpec(lat, args.colors, quotient=S, surjective=not args.lax)
     except ValueError as e:
         raise _Usage(str(e)) from None
@@ -280,45 +274,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="cmd", required=True)
 
-    def cmd(name, fn, help):
+    def cmd(name, fn, help, *positionals, json=False):
         p = sub.add_parser(name, help=help)
         p.set_defaults(fn=fn)
+        for arg in positionals:
+            p.add_argument(arg)
+        if json:
+            p.add_argument("--json", action="store_true")
         return p
 
-    p = cmd("verify", _cmd_verify, "check perfectness; print quotient or violation")
-    p.add_argument("file")
+    cmd("verify", _cmd_verify, "check perfectness; print quotient or violation", "file")
+    cmd("quotient", _cmd_quotient, "print the quotient matrix", "file", json=True)
+    cmd("classify", _cmd_classify, "full report for one coloring", "file", json=True)
+    cmd("twins", _cmd_twins, "list twin color pairs; exit 1 if none", "file")
 
-    p = cmd("quotient", _cmd_quotient, "print the quotient matrix")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-
-    p = cmd("classify", _cmd_classify, "full report for one coloring")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-
-    p = cmd("twins", _cmd_twins, "list twin color pairs; exit 1 if none")
-    p.add_argument("file")
-
-    p = cmd("merge", _cmd_merge, "merge two twin colors into one")
-    p.add_argument("file")
+    p = cmd("merge", _cmd_merge, "merge two twin colors into one", "file")
     p.add_argument("a", metavar="A")
     p.add_argument("b", metavar="B")
     p.add_argument("-o", "--output", required=True)
 
-    p = cmd("equiv", _cmd_equiv, "are two colorings equivalent?")
-    p.add_argument("file1")
-    p.add_argument("file2")
+    cmd("equiv", _cmd_equiv, "are two colorings equivalent?", "file1", "file2")
+    cmd("orbit", _cmd_orbit, "is this an orbit coloring?", "file", json=True)
+    cmd("diagonals", _cmd_diagonals, "diagonal classes; exit 1 if none special",
+        "file", json=True)
 
-    p = cmd("orbit", _cmd_orbit, "is this an orbit coloring?")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-
-    p = cmd("diagonals", _cmd_diagonals, "diagonal classes; exit 1 if none special")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-
-    p = cmd("shift", _cmd_shift, "slide one residue class of diagonals")
-    p.add_argument("file")
+    p = cmd("shift", _cmd_shift, "slide one residue class of diagonals", "file")
     p.add_argument(
         "--orientation", required=True, choices=[o.value for o in Orientation]
     )
@@ -337,13 +317,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lax", action="store_true", help="allow fewer than --colors")
     p.add_argument("--jobs", type=_positive, default=1)
 
-    p = cmd("stationary", _cmd_stationary, "color distribution of the quotient")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-
-    p = cmd("audit", _cmd_audit, "covering dichotomy report")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
+    cmd("stationary", _cmd_stationary, "color distribution of the quotient",
+        "file", json=True)
+    cmd("audit", _cmd_audit, "covering dichotomy report", "file", json=True)
 
     p = cmd("fixture", _cmd_fixture, "bundled example colorings")
     fsub = p.add_subparsers(dest="which", required=True)

@@ -21,14 +21,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .grid import GridAutomorphism, Mat2, Vec2, d4_elements, mat_apply
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
-_Sym = TypeVar("_Sym")
 Rows = Sequence[Sequence[int]]
 
 # Entries kept by each memoised analysis (here and in perfect and orbits):
@@ -349,9 +348,9 @@ def parse(text: str) -> PeriodicColoring:
     return PeriodicColoring(lat, tuple(rows), tuple(tokens))
 
 
-def render(F: PeriodicColoring, ids: bool = False) -> str:
-    """PCG text for F; with ids=True tokens are the numeric color ids."""
-    toks = tuple(str(i) for i in range(1, F.n + 1)) if ids else F.tokens
+def render(F: PeriodicColoring) -> str:
+    """PCG text for F, its tokens padded to one width."""
+    toks = F.tokens
     width = max(len(t) for t in toks)
     return _text(F.lattice, [toks[c - 1].ljust(width) for row in F.rows for c in row])
 
@@ -436,16 +435,16 @@ def maximal_periods(F: PeriodicColoring) -> Lattice:
     return Lattice.from_vectors(*lat.basis, *translations(F.rows, F.rows, lat))
 
 
-def least_translation(
-    flat: Sequence[int], lattice: Lattice, symbols: Sequence[_Sym]
-) -> tuple[_Sym, ...]:
+def _least_translation(
+    flat: Sequence[int], lattice: Lattice, symbols: Sequence[str]
+) -> tuple[str, ...]:
     """Least first-occurrence relabeling of a cell block over torus translations.
 
     `flat` holds the colors 1..n (n <= len(symbols)) of the fundamental
     domain of `lattice`, row-major. Each translation of the torus is read
     row-major with its k-th new color (counting from 0) written as
-    ``symbols[k]``; the least of the resulting tuples is returned. Needs
-    ``symbols[0] < symbols[1]`` and raises ValueError otherwise.
+    ``symbols[k]``; the least of the resulting tuples is returned.
+    `symbols` are the padded ids of `canonical`, so symbols[0] < symbols[1].
 
     A candidate's first row starts with ``symbols[0]`` over the run of its
     first color, then ``symbols[1]``, so only the candidates whose leading
@@ -457,8 +456,6 @@ def least_translation(
     candidate has the same length, so this is the lexicographic minimum
     over the full tuples.
     """
-    if len(symbols) > 1 and not symbols[0] < symbols[1]:
-        raise ValueError("least_translation needs symbols[0] < symbols[1]")
     w, h = lattice.w, lattice.h
     rows = [flat[i : i + w] for i in range(0, h * w, w)]
     around = _block(rows, lattice, 0, -h, 2 * w, 2 * h)
@@ -478,12 +475,12 @@ def least_translation(
                 longest, starts = run, []
             if run == longest:
                 starts.append((tx, ty))
-    unset: list[Optional[_Sym]] = [None] * (len(symbols) + 1)
-    best: Optional[list[tuple[_Sym, ...]]] = None
+    unset: list[Optional[str]] = [None] * (len(symbols) + 1)
+    best: Optional[list[tuple[str, ...]]] = None
     for tx, ty in starts:
         perm = unset[:]
         fresh = iter(symbols)
-        cand: list[tuple[_Sym, ...]] = []
+        cand: list[tuple[str, ...]] = []
         smaller = best is None
         for y in range(h):
             out = []
@@ -514,13 +511,13 @@ def canonical(F: PeriodicColoring) -> str:
     Two colorings are related by a grid automorphism plus a color
     permutation exactly when their canonical strings are equal.
     ``test_canonical_matches_definition`` in tests/test_coloring.py
-    checks this against the definition, the least of
-    ``render(base.transform(g).translate(t).relabel_first_occurrence(), ids=True)``.
+    checks this against the definition: the least rendering, color ids as
+    tokens, of the first-occurrence relabeled translates of base's D4 images.
 
     No periods line is a proper prefix of another, so images on different
     lattices are ordered by that line alone: only the images whose periods
     text is least are read and scanned, and among them the least
-    `least_translation` tuple wins.
+    `_least_translation` tuple wins.
     """
     lat = maximal_periods(F)
     base = F.rebase(lat)
@@ -533,7 +530,7 @@ def canonical(F: PeriodicColoring) -> str:
     for aut in auts:
         rows = _image(base.rows, lat, least, aut)
         flat = [c for row in rows for c in row]
-        keys.append(least_translation(flat, least, symbols))
+        keys.append(_least_translation(flat, least, symbols))
     return _text(least, min(keys))
 
 

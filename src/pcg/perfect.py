@@ -198,16 +198,10 @@ def is_bipartite(F: PeriodicColoring) -> bool:
 
 def _even_sublattice(lat: Lattice) -> Lattice:
     """The index-1-or-2 sublattice of even-coordinate-sum vectors."""
-    b1, b2 = lat.basis
-    p1 = (b1[0] + b1[1]) & 1
-    p2 = (b2[0] + b2[1]) & 1
-    if (p1, p2) == (0, 0):
-        return lat
-    if (p1, p2) == (1, 0):
-        return Lattice.from_vectors((2 * b1[0], 2 * b1[1]), b2)
-    if (p1, p2) == (0, 1):
-        return Lattice.from_vectors(b1, (2 * b2[0], 2 * b2[1]))
-    return Lattice.from_vectors((b1[0] + b2[0], b1[1] + b2[1]), (2 * b2[0], 2 * b2[1]))
+    (x1, y1), (x2, y2) = b1, b2 = lat.basis
+    # every even vector i*b1 + j*b2 is an integer combination of these
+    vecs = (b1, b2, (x1 + x2, y1 + y2), (2 * x1, 2 * y1), (2 * x2, 2 * y2))
+    return Lattice.from_vectors(*(v for v in vecs if not parity(v)))
 
 
 def refine_bipartite(F: PeriodicColoring) -> PeriodicColoring:

@@ -61,29 +61,16 @@ class ClassificationReport:
 def classify(F: PeriodicColoring) -> ClassificationReport:
     """Run the whole pipeline on one coloring."""
     S = check(F)
-    if isinstance(S, Violation):
-        return ClassificationReport(
-            perfect=False,
-            violation=S,
-            quotient=None,
-            bipartite=None,
-            twin_pairs=(),
-            covering=None,
-            special_diagonals=(),
-            orbit=None,
-            maximal=maximal_periods(F),
-            canonical=canonical(F),
-            tokens=F.tokens,
-        )
+    perfect = not isinstance(S, Violation)
     return ClassificationReport(
-        perfect=True,
-        violation=None,
-        quotient=S,
-        bipartite=is_bipartite(F),
-        twin_pairs=twin_pairs(S),
-        covering=covering_target(S) is not None,
-        special_diagonals=find_special_diagonals(F),
-        orbit=is_orbit(F),
+        perfect=perfect,
+        violation=None if perfect else S,
+        quotient=S if perfect else None,
+        bipartite=is_bipartite(F) if perfect else None,
+        twin_pairs=twin_pairs(S) if perfect else (),
+        covering=covering_target(S) is not None if perfect else None,
+        special_diagonals=find_special_diagonals(F) if perfect else (),
+        orbit=is_orbit(F) if perfect else None,
         maximal=maximal_periods(F),
         canonical=canonical(F),
         tokens=F.tokens,

@@ -251,16 +251,14 @@ class _Engine:
             assert prefixes is not None
             prefixes.append(tuple(self.color[i] for i in self.order[:depth]))
             return
-        if depth == self.N:
-            self._leaf()
-            return
         spec = self.spec
         if spec.surjective and self.num_used + (self.N - depth) < spec.max_colors:
             return
+        if depth == self.N:
+            self._leaf()
+            return
         if depth < len(forced):
             candidates = (forced[depth],)
-        elif depth == 0:
-            candidates = (1,)
         else:
             candidates = range(1, min(self.num_used + 1, spec.max_colors) + 1)
         self.nodes += len(candidates)
@@ -337,8 +335,6 @@ class _Engine:
     def _leaf(self) -> None:
         spec = self.spec
         k = self.num_used
-        if spec.surjective and k != spec.max_colors:
-            return
         if spec.quotient is not None:
             S = tuple(tuple(self.estab[c][:k]) for c in range(1, k + 1))
             if not matrices_conjugate(S, spec.quotient):

@@ -12,6 +12,7 @@ concrete coloring.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from .coloring import PeriodicColoring
@@ -37,19 +38,19 @@ class TwinMergeError(ValueError):
         )
 
 
+def _twin_mismatch(S: QuotientMatrix, a: int, b: int) -> Optional[int]:
+    """The first column outside {a, b} where rows a and b of S differ, or None."""
+    ra, rb = S[a - 1], S[b - 1]
+    for j in range(1, len(S) + 1):
+        if ra[j - 1] != rb[j - 1] and j != a and j != b:
+            return j
+    return None
+
+
 def twin_pairs(S: QuotientMatrix) -> tuple[tuple[int, int], ...]:
     """All pairs {a,b} with S[a][j] = S[b][j] for every j outside {a,b}."""
-    n = len(S)
-    out = []
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            if all(
-                S[a - 1][j - 1] == S[b - 1][j - 1]
-                for j in range(1, n + 1)
-                if j not in (a, b)
-            ):
-                out.append((a, b))
-    return tuple(out)
+    pairs = combinations(range(1, len(S) + 1), 2)
+    return tuple((a, b) for a, b in pairs if _twin_mismatch(S, a, b) is None)
 
 
 def equal_rows(S: QuotientMatrix) -> tuple[tuple[int, int], ...]:
@@ -69,9 +70,9 @@ def merge(F: PeriodicColoring, a: int, b: int) -> PeriodicColoring:
     if not (1 <= a <= n and 1 <= b <= n) or a == b:
         raise ValueError(f"need two distinct colors in 1..{n}")
     lo, hi = min(a, b), max(a, b)
-    for j in range(1, n + 1):
-        if j not in (a, b) and S[a - 1][j - 1] != S[b - 1][j - 1]:
-            raise TwinMergeError(a, b, j)
+    j = _twin_mismatch(S, a, b)
+    if j is not None:
+        raise TwinMergeError(a, b, j)
 
     def renum(c: int) -> int:
         if c == hi:

@@ -11,7 +11,7 @@ import itertools
 from typing import Optional, Sequence, TypeVar, Union
 
 from pcg.coloring import Lattice, PeriodicColoring, WindowColoring, _text, canonical
-from pcg.coloring import least_translation, parse
+from pcg.coloring import parse
 from pcg.grid import GridAutomorphism, Vec2, d4_elements, neighbors
 from pcg.orbits import OrbitReport, StabilizerGroup, stabilizer
 from pcg.perfect import QuotientMatrix, Violation, _counts, check, profile
@@ -57,13 +57,13 @@ def translation_key(flat: Sequence[int], lattice: Lattice) -> tuple[int, ...]:
     """One key per class of a row-major cell block under torus translations
     and color renaming: its least first-occurrence relabeling over every
     translation, as the search leaf computed it before keying translates."""
-    return least_translation(flat, lattice, range(max(flat)))
+    return brute_least_translation(flat, lattice, range(max(flat)))
 
 
 def brute_least_translation(
     flat: Sequence[int], lattice: Lattice, symbols: Sequence[_Sym]
 ) -> tuple[_Sym, ...]:
-    """The same answer as least_translation, with every candidate built in full."""
+    """The same answer as _least_translation, with every candidate built in full."""
     w, s, h = lattice.w, lattice.s, lattice.h
     # doubled rows turn every cyclic shift of a row into one slice
     rows = [flat[i : i + w] * 2 for i in range(0, h * w, w)]

@@ -8,12 +8,12 @@ from pcg import fixtures
 from pcg.coloring import (
     CACHE_SIZE,
     _least_images,
+    _least_translation,
     Lattice,
     PcgParseError,
     PeriodicColoring,
     canonical,
     equivalent,
-    least_translation,
     maximal_periods,
     parse,
     render,
@@ -215,7 +215,7 @@ def test_parse_rejects_malformed(text):
 @given(colorings(), st.data())
 def test_render_roundtrip(F, data):
     assert parse(render(F)) == F
-    assert parse(render(F, ids=True)).rows == F.rows
+    assert parse(render(PeriodicColoring(F.lattice, F.rows))).rows == F.rows
     token = st.from_regex(r"[A-Za-z0-9_]{1,4}", fullmatch=True)
     tokens = data.draw(st.lists(token, min_size=F.n, max_size=F.n, unique=True))
     G = PeriodicColoring(F.lattice, F.rows, tuple(tokens))
@@ -345,13 +345,15 @@ def test_translation_kernels_match_full_scans(block, data):
     flat, lat = data.draw(block)
     n = max(flat)
     width = len(str(n))
-    for symbols in (range(n), tuple(str(i).ljust(width) for i in range(1, n + 1))):
-        fast = least_translation(flat, lat, symbols)
-        assert fast == brute_least_translation(flat, lat, symbols)
+    # the padded ids that canonical passes
+    symbols = tuple(str(i).ljust(width) for i in range(1, n + 1))
+    assert _least_translation(flat, lat, symbols) == brute_least_translation(
+        flat, lat, symbols
+    )
     F = PeriodicColoring(lat, _rows(flat, lat))
     # past the cache, so every example runs the kernel
     assert maximal_periods.__wrapped__(F) == brute_maximal_periods(F)
-    # list rows, as the search leaf has them, must match tuple rows
+    # list rows, as _least_translation hands them to _block, must match tuple rows
     lists = [list(row) for row in F.rows]
     periods = [t for t in lat.domain() if brute_translate(F, t) == F]
     assert list(translations(lists, F.rows, lat)) == periods
@@ -370,16 +372,6 @@ def test_translation_kernels_match_full_scans(block, data):
         assert _outcome(F.rebase, L) == _outcome(brute_rebase, F, L)
     group = stabilizer.__wrapped__(F)
     assert group == brute_stabilizer(F) and group.order <= 8
-
-
-def test_least_translation_needs_ascending_first_symbols():
-    # the leading-run prefilter keeps the longest runs of symbols[0]
-    lat = Lattice(3, 0, 1)
-    for symbols in ("ba", "aa", (1, 0)):
-        with pytest.raises(ValueError):
-            least_translation([1, 2, 2], lat, symbols)
-    assert least_translation([1, 2, 2], lat, "ab") == ("a", "a", "b")
-    assert least_translation([1, 1, 1], lat, "a") == ("a", "a", "a")
 
 
 def _outcome(fn, *args):
@@ -436,7 +428,8 @@ def test_canonical_matches_definition(F):
         T = base.transform(GridAutomorphism(g, (0, 0)))
         for t in T.lattice.domain():
             G = T.translate(t).relabel_first_occurrence()
-            renderings.append(render(G, ids=True))
+            # default tokens are the color ids "1".."n"
+            renderings.append(render(PeriodicColoring(G.lattice, G.rows)))
     assert canonical(F) == min(renderings)
 
 

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcg import fixtures
-from pcg.coloring import WindowColoring, parse
+from pcg.coloring import Lattice, WindowColoring, parse
+from pcg.grid import parity
 from pcg.perfect import (
     DetailedBalanceError,
+    _even_sublattice,
     NotPerfectError,
     Violation,
     check,
@@ -202,6 +204,24 @@ def test_refine_bipartite_fixes_mixed_colors():
     assert is_bipartite(R)
     assert not isinstance(check(R), Violation)
     assert refine_bipartite(R) == R
+
+
+def test_even_sublattice_against_small_even_combinations():
+    # i*b1 + j*b2 with |i|, |j| <= 2 already holds a basis of the even vectors
+    for index in range(1, 65):
+        for w in (d for d in range(1, index + 1) if index % d == 0):
+            for s in range(w):
+                L = Lattice(w, s, index // w)
+                (x1, y1), (x2, y2) = L.basis
+                combos = [
+                    (i * x1 + j * x2, i * y1 + j * y2)
+                    for i in range(-2, 3)
+                    for j in range(-2, 3)
+                ]
+                E = _even_sublattice(L)
+                assert E == Lattice.from_vectors(*(v for v in combos if not parity(v)))
+                odd = any(parity(b) for b in L.basis)
+                assert E.index == (2 * L.index if odd else L.index), L
 
 
 def test_refine_bipartite_may_double_the_lattice():

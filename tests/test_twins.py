@@ -71,6 +71,31 @@ def test_merge_rejects_non_twins():
         merge(F, 0, 5)
 
 
+def test_merge_succeeds_exactly_on_twin_pairs():
+    # twin_pairs and merge's TwinMergeError read one predicate
+    for fid in fixtures.fixture_ids():
+        F = fixtures.get(fid)
+        S = quotient(F)
+        twins = set(twin_pairs(S))
+        for a in range(1, F.n + 1):
+            for b in range(1, F.n + 1):
+                if a == b:
+                    continue
+                pair = (min(a, b), max(a, b))
+                try:
+                    merge(F, a, b)
+                except TwinMergeError as e:
+                    assert pair not in twins, (fid, a, b)
+                    differ = [
+                        j
+                        for j in range(1, F.n + 1)
+                        if j not in (a, b) and S[a - 1][j - 1] != S[b - 1][j - 1]
+                    ]
+                    assert e.column == differ[0], (fid, a, b)
+                else:
+                    assert pair in twins, (fid, a, b)
+
+
 def test_merging_twins_preserves_perfectness_corpus_wide():
     for fid in fixtures.fixture_ids():
         F = fixtures.get(fid)
