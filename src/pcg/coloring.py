@@ -21,12 +21,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .grid import GridAutomorphism, Mat2, Vec2, d4_elements, mat_apply
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 Rows = Sequence[Sequence[int]]
 
@@ -168,9 +165,6 @@ class PeriodicColoring:
         k = y // lat.h
         return self.rows[y - k * lat.h][(x - k * lat.s) % lat.w]
 
-    def token_at(self, v: Vec2) -> str:
-        return self.tokens[self.color_at(v) - 1]
-
     def cells(self) -> Iterator[tuple[Vec2, int]]:
         """Fundamental-domain nodes with their colors, row-major."""
         for y, row in enumerate(self.rows):
@@ -183,13 +177,6 @@ class PeriodicColoring:
             for c in row:
                 out[c - 1] += 1
         return tuple(out)
-
-    def densities(self) -> tuple[Fraction, ...]:
-        """Fraction of the plane in each color; exact, sums to 1."""
-        from fractions import Fraction
-
-        idx = self.lattice.index
-        return tuple(Fraction(k, idx) for k in self.counts())
 
     def translate(self, t: Vec2) -> PeriodicColoring:
         """The coloring v -> F(v - t) (the picture moved by +t)."""
@@ -215,13 +202,6 @@ class PeriodicColoring:
         for old, new in perm.items():
             tokens[new - 1] = self.tokens[old - 1]
         return PeriodicColoring(self.lattice, rows, tuple(tokens))
-
-    def relabel_first_occurrence(self) -> PeriodicColoring:
-        perm: dict[int, int] = {}
-        for _, c in self.cells():
-            if c not in perm:
-                perm[c] = len(perm) + 1
-        return self.relabel(perm)
 
     def relabel_sorted_tokens(self) -> PeriodicColoring:
         """Renumber colors into sorted token order, numerals first by value."""

@@ -20,19 +20,6 @@ from .grid import DIAGONAL_STEP, Orientation, Vec2, diagonal_index
 
 
 @dataclass(frozen=True)
-class DiagonalDescriptor:
-    """One diagonal's color sequence, reduced to its minimal period."""
-
-    orientation: Orientation
-    index: int
-    colors: tuple[int, ...]
-
-    @property
-    def kind(self) -> str:
-        return kind_of(self.colors)
-
-
-@dataclass(frozen=True)
 class DiagonalClass:
     """A residue class of diagonals sharing one color sequence.
 
@@ -88,12 +75,12 @@ def _lattice_step(F: PeriodicColoring, o: Orientation) -> int:
     return p
 
 
-def diagonal_sequence(F: PeriodicColoring, o: Orientation, idx: int) -> DiagonalDescriptor:
-    """Colors along the diagonal of the given index, from node (idx, 0)."""
+def diagonal_sequence(F: PeriodicColoring, o: Orientation, idx: int) -> tuple[int, ...]:
+    """Colors along the diagonal from node (idx, 0), cut to their minimal period."""
     g = DIAGONAL_STEP[o]
     period = _lattice_step(F, o)
     seq = tuple(F.color_at((idx + i * g[0], i * g[1])) for i in range(period))
-    return DiagonalDescriptor(o, idx, _minimal_period(seq))
+    return _minimal_period(seq)
 
 
 def residue_modulus(F: PeriodicColoring, o: Orientation) -> int:
@@ -113,8 +100,7 @@ def diagonal_classes(F: PeriodicColoring) -> tuple[DiagonalClass, ...]:
     for o in (Orientation.RIGHT, Orientation.LEFT):
         m = residue_modulus(F, o)
         for r in range(m):
-            d = diagonal_sequence(F, o, r)
-            out.append(DiagonalClass(o, r, m, d.colors))
+            out.append(DiagonalClass(o, r, m, diagonal_sequence(F, o, r)))
     return tuple(out)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator
 
 Vec2 = tuple[int, int]
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
@@ -23,22 +22,9 @@ def neighbors(v: Vec2) -> tuple[Vec2, Vec2, Vec2, Vec2]:
     return ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
 
 
-def l1_distance(a: Vec2, b: Vec2) -> int:
-    return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-
 def parity(v: Vec2) -> int:
     """0 on the even sublattice, 1 on the odd one. Adjacent nodes differ."""
     return (v[0] + v[1]) & 1
-
-
-def ball(center: Vec2, radius: int) -> Iterator[Vec2]:
-    """All nodes within L1 distance `radius` of `center`, row by row."""
-    cx, cy = center
-    for dy in range(-radius, radius + 1):
-        rest = radius - abs(dy)
-        for dx in range(-rest, rest + 1):
-            yield (cx + dx, cy + dy)
 
 
 class Orientation(enum.Enum):
@@ -126,11 +112,3 @@ class GridAutomorphism:
         inv = mat_inv(self.point)
         sx, sy = mat_apply(inv, self.shift)
         return GridAutomorphism(inv, (-sx, -sy))
-
-    @property
-    def is_translation(self) -> bool:
-        return self.point == IDENTITY
-
-    @staticmethod
-    def translation(shift: Vec2) -> GridAutomorphism:
-        return GridAutomorphism(IDENTITY, shift)

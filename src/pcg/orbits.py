@@ -19,7 +19,7 @@ from typing import Optional
 
 from .coloring import CACHE_SIZE, Lattice, PeriodicColoring, maximal_periods
 from .coloring import _image, translations
-from .grid import GridAutomorphism, Vec2, ball, d4_elements
+from .grid import GridAutomorphism, Vec2, d4_elements
 
 
 @dataclass(frozen=True)
@@ -120,60 +120,3 @@ def orbit_report(F: PeriodicColoring) -> OrbitReport:
         stabilizer_order=stabilizer(F).order,
         counterexample_pair=pair,
     )
-
-
-def find_automorphism(
-    F: PeriodicColoring, x: Vec2, y: Vec2
-) -> Optional[GridAutomorphism]:
-    """A stabilizer element sending x exactly to y, if one exists."""
-    if F.color_at(x) != F.color_at(y):
-        raise ValueError("nodes must share a color")
-    group = stabilizer(F)
-    lat = group.lattice
-    for aut in group.elements:
-        gx = aut.apply(x)
-        if lat.reduce(gx) == lat.reduce(y):
-            dx, dy = y[0] - gx[0], y[1] - gx[1]
-            return GridAutomorphism(aut.point, (aut.shift[0] + dx, aut.shift[1] + dy))
-    return None
-
-
-def ball_similar(
-    F: PeriodicColoring, radius: int
-) -> tuple[bool, Optional[tuple[Vec2, Vec2]]]:
-    """Can every same-color pair be matched on an L1 ball of this radius?
-
-    For each ordered pair of same-color cells (x, y) an affine map
-    g.v + t with g in the point group and t = y - g.x must copy F on
-    the whole ball around x. Weaker than orbit-ness: the map need not
-    respect the coloring globally.
-    """
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    lat = maximal_periods(F)
-    base = F.rebase(lat)
-    cells_by_color: dict[int, list[Vec2]] = {}
-    for v, c in base.cells():
-        cells_by_color.setdefault(c, []).append(v)
-    points = d4_elements()
-    for c in range(1, base.n + 1):
-        vs = cells_by_color[c]
-        for x in vs:
-            for y in vs:
-                if x == y:
-                    continue
-                ok = False
-                for g in points:
-                    aut = GridAutomorphism(g, (0, 0))
-                    gx = aut.apply(x)
-                    t = (y[0] - gx[0], y[1] - gx[1])
-                    cand = GridAutomorphism(g, t)
-                    if all(
-                        base.color_at(cand.apply(u)) == base.color_at(u)
-                        for u in ball(x, radius)
-                    ):
-                        ok = True
-                        break
-                if not ok:
-                    return False, (x, y)
-    return True, None

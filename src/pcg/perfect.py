@@ -4,15 +4,14 @@ A coloring F is perfect when every node of color i has the same number
 S[i][j] of neighbors of color j, for all i, j. S is the quotient
 matrix; its rows sum to 4. `check` decides the property, and the rest
 of the module computes quantities that are forced once S is known:
-walk counts, the stationary vector, node types, and the parity
-refinement.
+walk counts, the stationary vector, and the parity refinement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence, Union
 
 from .coloring import CACHE_SIZE, Lattice, PeriodicColoring, WindowColoring, _block
 from .grid import Vec2, neighbors, parity
@@ -82,36 +81,12 @@ def check(F: PeriodicColoring) -> Union[QuotientMatrix, Violation]:
     return tuple(_counts(seen[i], F.n) for i in range(1, F.n + 1))
 
 
-def is_perfect(F: PeriodicColoring) -> bool:
-    return not isinstance(check(F), Violation)
-
-
 def quotient(F: PeriodicColoring) -> QuotientMatrix:
     """Like `check` but raises NotPerfectError instead of returning a Violation."""
     out = check(F)
     if isinstance(out, Violation):
         raise NotPerfectError(out)
     return out
-
-
-def path_count(F: PeriodicColoring, v: Vec2, colors: tuple[int, ...]) -> int:
-    """Number of walks v=v0,v1,..,vk with F(vi) = colors[i-1].
-
-    For perfect F this equals the product of S entries along the color
-    sequence, independently of which starting node of its color is
-    picked.
-    """
-    if not colors:
-        raise ValueError("need at least one step color")
-    quotient(F)  # raises if not perfect
-
-    def walk(u: Vec2, rest: tuple[int, ...]) -> int:
-        if not rest:
-            return 1
-        want = rest[0]
-        return sum(walk(w, rest[1:]) for w in neighbors(u) if F.color_at(w) == want)
-
-    return walk(v, tuple(colors))
 
 
 def dk(S: QuotientMatrix, b: int, b2: int, k: int) -> int:
@@ -128,6 +103,16 @@ def dk(S: QuotientMatrix, b: int, b2: int, k: int) -> int:
     return row[b2 - 1]
 
 
+def _asymmetric_support(S: QuotientMatrix) -> Optional[tuple[int, int]]:
+    """The first 1-based (i, j) where just one of S[i][j], S[j][i] is positive."""
+    n = len(S)
+    for i in range(n):
+        for j in range(n):
+            if (S[i][j] > 0) != (S[j][i] > 0):
+                return i + 1, j + 1
+    return None
+
+
 def stationary(S: QuotientMatrix) -> tuple[Fraction, ...]:
     """The positive rationals P with S[i][j] P[i] = S[j][i] P[j], sum 1.
 
@@ -138,12 +123,9 @@ def stationary(S: QuotientMatrix) -> tuple[Fraction, ...]:
     from fractions import Fraction
 
     n = len(S)
-    for i in range(n):
-        for j in range(n):
-            if (S[i][j] > 0) != (S[j][i] > 0):
-                raise DetailedBalanceError(
-                    f"support is not symmetric at ({i + 1},{j + 1})"
-                )
+    at = _asymmetric_support(S)
+    if at is not None:
+        raise DetailedBalanceError(f"support is not symmetric at ({at[0]},{at[1]})")
     weight: dict[int, Fraction] = {0: Fraction(1)}
     queue = [0]
     while queue:
@@ -164,20 +146,6 @@ def stationary(S: QuotientMatrix) -> tuple[Fraction, ...]:
         raise DetailedBalanceError(f"color graph is disconnected at {missing + 1}")
     total = sum(weight.values())
     return tuple(weight[i] / total for i in range(n))
-
-
-class NodeType(NamedTuple):
-    """How many neighbors of two distinguished colors a node has."""
-
-    k: int
-    l: int
-
-
-def node_type(F: PeriodicColoring, v: Vec2, a: int, b: int) -> NodeType:
-    if a == b:
-        raise ValueError("the two distinguished colors must differ")
-    p = profile(F, v)
-    return NodeType(p.count(a), p.count(b))
 
 
 def _mixed_colors(F: PeriodicColoring) -> set[int]:

@@ -18,7 +18,7 @@ from typing import Optional
 from .coloring import PeriodicColoring
 from .grid import Vec2
 from .orbits import is_orbit
-from .perfect import QuotientMatrix, quotient
+from .perfect import QuotientMatrix, _asymmetric_support, quotient
 
 # Offsets at which a covering without equal rows never repeats a color:
 # distance 1 and 2 along rows/columns/diagonals.
@@ -93,10 +93,10 @@ def covering_failure(S: QuotientMatrix) -> Optional[str]:
         for j in range(n):
             if S[i][j] > 1:
                 return f"entry {S[i][j]} > 1 at ({i + 1},{j + 1})"
-    for i in range(n):
-        for j in range(n):
-            if S[i][j] != S[j][i]:
-                return f"support is not symmetric at ({i + 1},{j + 1})"
+    # every entry is 0 or 1 here, so symmetric support is a symmetric S
+    at = _asymmetric_support(S)
+    if at is not None:
+        return f"support is not symmetric at ({at[0]},{at[1]})"
     return None
 
 

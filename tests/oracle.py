@@ -1,7 +1,8 @@
 """Slow references that keep the fast paths honest: a pruning-free
 enumerator for the tree search, a least-translation key for its leaf
-dedup, full-scan versions of the translation
-kernels in pcg.coloring, a canonical form that scans every D4 image in
+dedup, the first-occurrence relabel that defines the canonical form
+and the search's `_first_occurrence` key, full-scan versions of the
+translation kernels in pcg.coloring, a canonical form that scans every D4 image in
 full, cell-by-cell versions of every shifted or rotated read of a
 coloring (translate, transform, rebase, window, the perfectness check
 and the stabilizer), a node-by-node window check, and a union-find over
@@ -88,6 +89,15 @@ def brute_least_translation(
                 best = cand
     assert best is not None
     return best
+
+
+def first_occurrence(F: PeriodicColoring) -> PeriodicColoring:
+    """F with its colors renumbered in row-major order of first occurrence."""
+    perm: dict[int, int] = {}
+    for _, c in F.cells():
+        if c not in perm:
+            perm[c] = len(perm) + 1
+    return F.relabel(perm)
 
 
 def brute_canonical(F: PeriodicColoring) -> str:

@@ -17,7 +17,7 @@ from pcg.coloring import render
 ROOT = Path(__file__).resolve().parent.parent
 
 # Loaded only by the commands that use them: `--jobs` > 1, `stationary`
-# and `densities`, and `fixture`.
+# and `fixture`.
 LAZY = ("multiprocessing", "fractions", "pcg.fixtures")
 
 # Imports pcg.cli, reports the loaded modules and the functions each pcg

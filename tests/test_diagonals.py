@@ -61,17 +61,17 @@ def test_diagonal_sequence_checkerboard_is_constant():
     F = fixtures.checkerboard()
     for o in Orientation:
         for idx in range(-2, 3):
-            d = diagonal_sequence(F, o, idx)
-            assert d.kind == "one-color"
-            assert len(d.colors) == 1
+            colors = diagonal_sequence(F, o, idx)
+            assert kind_of(colors) == "one-color"
+            assert len(colors) == 1
 
 
 def test_diagonal_sequence_case_base():
     F = fixtures.get("II-base")
-    d = diagonal_sequence(F, Orientation.RIGHT, 1)
-    assert d.colors == (1, 3)
-    assert d.kind == "binary-alternating"
-    assert diagonal_sequence(F, Orientation.RIGHT, 0).colors == (4,)
+    colors = diagonal_sequence(F, Orientation.RIGHT, 1)
+    assert colors == (1, 3)
+    assert kind_of(colors) == "binary-alternating"
+    assert diagonal_sequence(F, Orientation.RIGHT, 0) == (4,)
 
 
 def test_diagonal_sequence_invariant_under_lattice_shifts():
@@ -79,9 +79,7 @@ def test_diagonal_sequence_invariant_under_lattice_shifts():
     for o in Orientation:
         m = residue_modulus(F, o)
         for idx in range(m):
-            a = diagonal_sequence(F, o, idx)
-            b = diagonal_sequence(F, o, idx + 3 * m)
-            assert a.colors == b.colors
+            assert diagonal_sequence(F, o, idx) == diagonal_sequence(F, o, idx + 3 * m)
 
 
 def test_residue_modulus_from_maximal_periods():

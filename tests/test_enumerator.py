@@ -26,7 +26,7 @@ from pcg.search import (
 )
 
 from conftest import _lattices_up_to_index
-from oracle import brute_oracle, translation_key
+from oracle import brute_oracle, first_occurrence, translation_key
 
 
 def spec(w, s, h, colors, **kw):
@@ -251,7 +251,7 @@ def test_torus_output_is_pinned(shape, count, digest):
 def test_first_occurrence_key_with_many_colors():
     colors = [12, 3, 12, 7, 1, 3, 9, 10, 11, 2, 4, 5, 6, 8, 1, 12]
     F = PeriodicColoring(Lattice(len(colors), 0, 1), (tuple(colors),))
-    want = [c - 1 for c in F.relabel_first_occurrence().rows[0]]
+    want = [c - 1 for c in first_occurrence(F).rows[0]]
     key = _first_occurrence("".join(map(chr, colors)))
     assert [ord(c) for c in key] == want
     assert max(want) == 11

@@ -2,15 +2,12 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings
 
 from pcg import fixtures
 from pcg.coloring import Lattice, maximal_periods
 from pcg.grid import GridAutomorphism, IDENTITY, d4_elements
 from pcg.orbits import (
-    ball_similar,
-    find_automorphism,
     is_orbit,
     orbit_report,
     orbits,
@@ -131,53 +128,6 @@ def test_orbit_report_on_orbit_coloring():
     assert rep.is_orbit
     assert rep.counterexample_pair is None
     assert rep.num_orbits == 8
-
-
-def test_find_automorphism_on_orbit_coloring():
-    F = fixtures.get("8-150-2")
-    lat = stabilizer(F).lattice
-    base = F.rebase(lat)
-    cells = list(base.cells())
-    # every pair of same-colored nodes is joined
-    for v, c in cells:
-        for u, c2 in cells:
-            if c != c2:
-                continue
-            aut = find_automorphism(base, v, u)
-            assert aut is not None
-            assert aut.apply(v) == u
-
-
-def test_find_automorphism_returns_none_when_split():
-    F = fixtures.get("8-150-1")
-    rep = orbit_report(F)
-    a, b = rep.counterexample_pair
-    base = F.rebase(stabilizer(F).lattice)
-    assert find_automorphism(base, a, b) is None
-
-
-def test_find_automorphism_rejects_color_mismatch():
-    F = fixtures.get("h")
-    with pytest.raises(ValueError):
-        find_automorphism(F, (0, 0), (1, 0))
-
-
-def test_ball_similar_weaker_than_orbit():
-    # the radius-1 balls of this non-orbit coloring all match up; the
-    # radius-2 balls no longer do
-    assert ball_similar(fixtures.get("3-17-2"), 1) == (True, None)
-    ok, pair = ball_similar(fixtures.get("3-17-2"), 2)
-    assert not ok
-    F = fixtures.get("3-17-2")
-    assert F.color_at(pair[0]) == F.color_at(pair[1])
-    assert ball_similar(fixtures.get("8-150-1"), 1) == (False, ((0, 0), (2, 1)))
-    with pytest.raises(ValueError):
-        ball_similar(fixtures.get("h"), 0)
-
-
-def test_orbit_colorings_in_corpus_are_ball_similar():
-    for fid in ("h", "L1-a", "8-150-2"):
-        assert ball_similar(fixtures.get(fid), 2) == (True, None), fid
 
 
 @given(colorings())

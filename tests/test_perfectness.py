@@ -17,9 +17,6 @@ from pcg.perfect import (
     check,
     dk,
     is_bipartite,
-    is_perfect,
-    node_type,
-    path_count,
     profile,
     quotient,
     refine_bipartite,
@@ -57,7 +54,7 @@ def test_quotient_raises_on_violation():
     with pytest.raises(NotPerfectError) as exc:
         quotient(F)
     assert exc.value.violation.node == (1, 0)
-    assert not is_perfect(F)
+    assert isinstance(check(F), Violation)
 
 
 def test_profile_is_sorted_neighbor_colors():
@@ -95,7 +92,7 @@ def test_stationary_equals_density_on_corpus():
     for F in all_colorings().values():
         S = quotient(F)
         P = stationary(S)
-        assert P == F.densities()
+        assert P == tuple(Fraction(k, F.lattice.index) for k in F.counts())
         assert sum(P) == 1
         n = len(S)
         for i in range(n):
@@ -118,32 +115,6 @@ def test_stationary_rejects_inconsistent_cycle():
 def test_stationary_rejects_disconnected():
     with pytest.raises(DetailedBalanceError):
         stationary(((4, 0), (0, 4)))
-
-
-def test_path_count_agrees_with_entry_products():
-    F = fixtures.get("II-base")
-    v = next(u for u, c in F.cells() if c == 1)
-    assert path_count(F, v, (4,)) == 4
-    assert path_count(F, v, (4, 1)) == 8
-    assert path_count(F, v, (4, 2)) == 4
-    assert path_count(F, v, (4, 1, 4)) == 32
-    assert path_count(F, v, (1,)) == 0
-
-
-def test_path_count_independent_of_base_node():
-    F = fixtures.get("e")
-    S = quotient(F)
-    nodes = [v for v, c in F.cells() if c == 2]
-    seqs = [(4,), (4, 2), (1, 8), (4, 2, 4)]
-    for seq in seqs:
-        expect = None
-        prev = 2
-        total = 1
-        for c in seq:
-            total *= S[prev - 1][c - 1]
-            prev = c
-        expect = total
-        assert all(path_count(F, v, seq) == expect for v in nodes)
 
 
 def test_dk_known_values():
@@ -179,14 +150,6 @@ def test_dk_counts_grid_walks():
         for b2 in (1, 2, 4):
             for k in range(4):
                 assert dk(S, b, b2, k) == walks(v, b2, k)
-
-
-def test_node_type_examples():
-    F = fixtures.get("II-base")
-    assert node_type(F, (1, 1), 1, 4) == (2, 0)
-    assert node_type(F, (1, 0), 1, 4) == (0, 4)
-    with pytest.raises(ValueError):
-        node_type(F, (0, 0), 2, 2)
 
 
 def test_bipartite_detection():

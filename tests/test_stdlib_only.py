@@ -1,5 +1,6 @@
 """The runtime is pure standard library: nothing under src/pcg imports
-a module from outside it or the package itself."""
+a module from outside it or the package itself, and no module imports a
+name it never uses."""
 
 import ast
 import sys
@@ -25,3 +26,29 @@ def _imported_modules(path: Path) -> set[str]:
 def test_imports_only_the_standard_library(path):
     outside = _imported_modules(path) - set(sys.stdlib_module_names) - {"pcg"}
     assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+def _unused_imports(path: Path) -> set[str]:
+    """Names the file imports, nested imports too, that its code never reads.
+
+    The base of an attribute access is itself an ast.Name, so one walk
+    over the names covers `module.attr` as well.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    return imported - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_every_import_is_used(path):
+    unused = _unused_imports(path)
+    assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"

@@ -1,10 +1,12 @@
 """Twin detection, twin merging, coverings, and the dichotomy audit."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
 from pcg import fixtures
-from pcg.perfect import Violation, check, quotient
+from pcg.perfect import DetailedBalanceError, Violation, check, quotient, stationary
 from pcg.twins import (
     NEAR_OFFSETS,
     NearDistinctnessPreconditionError,
@@ -110,6 +112,28 @@ def test_covering_failure_cases():
     assert "diagonal" in covering_failure(((2, 2), (2, 2)))
     assert "> 1" in covering_failure(((0, 4), (4, 0)))
     assert "symmetric" in covering_failure(((0, 1, 0), (0, 0, 1), (1, 0, 0)))
+
+
+def test_stationary_and_covering_failure_name_one_asymmetric_entry():
+    # every 0/1 matrix up to 3x3 with a zero diagonal and asymmetric support
+    checked = 0
+    for n in (1, 2, 3):
+        off = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for bits in itertools.product((0, 1), repeat=len(off)):
+            S = [[0] * n for _ in range(n)]
+            for (i, j), bit in zip(off, bits):
+                S[i][j] = bit
+            S = tuple(map(tuple, S))
+            first = next(((i, j) for i, j in off if S[i][j] != S[j][i]), None)
+            if first is None:
+                continue
+            want = f"support is not symmetric at ({first[0] + 1},{first[1] + 1})"
+            with pytest.raises(DetailedBalanceError) as exc:
+                stationary(S)
+            assert str(exc.value) == want, S
+            assert covering_failure(S) == want, S
+            checked += 1
+    assert checked == 2 + 56  # of the 4 matrices with n = 2 and the 64 with n = 3
 
 
 def test_covering_target_of_fixture_h():
