@@ -2,11 +2,12 @@
 enumerator for the tree search, a least-translation key for its leaf
 dedup, the first-occurrence relabel that defines the canonical form
 and the search's `_first_occurrence` key, full-scan versions of the
-translation kernels in pcg.coloring, a canonical form that scans every D4 image in
-full, cell-by-cell versions of every shifted or rotated read of a
-coloring (translate, transform, rebase, window, the perfectness check
-and the stabilizer), a node-by-node window check, and a union-find over
-the stabilizer's moves for the orbits and the orbit report."""
+translation kernels in pcg.coloring, a canonical form that scans every
+D4 image in full, cell-by-cell versions of every shifted or rotated
+read of a coloring (translate, transform, rebase, window, the
+perfectness check and the stabilizer), a node-by-node window check, and
+a union-find over the stabilizer's moves for the orbits and the orbit
+report."""
 
 import itertools
 from typing import Optional, Sequence, TypeVar, Union

@@ -173,10 +173,7 @@ def test_parse_render_roundtrip_on_corpus():
         F = fixtures.get(fid)
         G = parse(render(F))
         assert G.lattice == F.lattice
-        assert all(
-            G.tokens[G.color_at(v) - 1] == F.tokens[F.color_at(v) - 1]
-            for v in G.lattice.domain()
-        )
+        assert G.to_json_dict() == F.to_json_dict()  # the same token per cell
         assert G.relabel_sorted_tokens() == F
 
 
