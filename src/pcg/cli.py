@@ -51,8 +51,7 @@ def _load(path: str) -> PeriodicColoring:
     except UnicodeDecodeError as e:
         raise _Usage(f"{path}: not UTF-8 text (byte {e.start})") from None
     try:
-        # token-sorted ids keep matrix row order independent of file layout
-        return parse(text).relabel_sorted_tokens()
+        return parse(text)
     except PcgParseError as e:
         raise _Usage(f"{path}: {e}") from None
 

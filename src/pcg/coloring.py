@@ -3,7 +3,8 @@
 A coloring is stored as a period lattice in Hermite normal form
 ``[[w,0],[s,h]]`` together with the colors of its w x h fundamental
 domain. Colors are integers 1..n; the token each color wore in its
-source text is kept alongside so files round-trip.
+source text is kept alongside so files round-trip, and `parse` numbers
+the colors in sorted token order.
 
 The text format (PCG v1):
 
@@ -27,9 +28,12 @@ from .grid import GridAutomorphism, Mat2, Vec2, d4_elements, mat_apply
 
 Rows = Sequence[Sequence[int]]
 
-# Entries kept by each memoised analysis (here and in perfect and orbits):
-# enough for every repeat within one classification, while a long sweep
-# does not keep every coloring it has seen alive.
+# Entries kept by each of the three memos, which serve the repeats that
+# callers make: `maximal_periods` (a classification asks for one coloring's
+# periods from several analyses), `_least_images` (the colorings of a sweep
+# share few lattices) and the search's per-D4-class answers (a sweep meets
+# each class under several of its lattices). Bounded, so a long sweep does
+# not keep every coloring it has seen alive.
 CACHE_SIZE = 1024
 
 TOKEN_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -171,13 +175,6 @@ class PeriodicColoring:
             for x, c in enumerate(row):
                 yield (x, y), c
 
-    def counts(self) -> tuple[int, ...]:
-        out = [0] * self.n
-        for row in self.rows:
-            for c in row:
-                out[c - 1] += 1
-        return tuple(out)
-
     def translate(self, t: Vec2) -> PeriodicColoring:
         """The coloring v -> F(v - t) (the picture moved by +t)."""
         lat = self.lattice
@@ -202,16 +199,6 @@ class PeriodicColoring:
         for old, new in perm.items():
             tokens[new - 1] = self.tokens[old - 1]
         return PeriodicColoring(self.lattice, rows, tuple(tokens))
-
-    def relabel_sorted_tokens(self) -> PeriodicColoring:
-        """Renumber colors into sorted token order, numerals first by value."""
-
-        def key(t: str) -> tuple[int, int, str]:
-            return (0, int(t), t) if t.isdigit() else (1, 0, t)
-
-        ranked = sorted(self.tokens, key=key)
-        perm = {self.tokens.index(t) + 1: i + 1 for i, t in enumerate(ranked)}
-        return self.relabel(perm)
 
     def rebase(self, lat: Lattice) -> PeriodicColoring:
         """Re-express on another lattice whose basis vectors are periods."""
@@ -275,7 +262,12 @@ class WindowColoring:
 
 
 def parse(text: str) -> PeriodicColoring:
-    """Read PCG text; colors become 1..n by first occurrence, row-major."""
+    """Read PCG text; colors become 1..n in sorted token order.
+
+    Numerals come first, by value ("2" before "10"), then words in string
+    order. Every caller gets this numbering, so a quotient matrix read
+    from a file has the same rows however the file lays out its cells.
+    """
     lines = text.splitlines()
     if not lines or lines[0].strip() != _HEADER:
         raise PcgParseError(f"line 1 must be exactly {_HEADER!r}")
@@ -309,23 +301,28 @@ def parse(text: str) -> PeriodicColoring:
         raise PcgParseError(
             f"expected {lat.h} rows for these periods, found {len(row_lines)}"
         )
-    ids: dict[str, int] = {}
-    tokens: list[str] = []
-    rows = []
+    cells = []
     for no, ln in row_lines:
         toks = ln.split()
         if len(toks) != lat.w:
             raise PcgParseError(f"line {no}: expected {lat.w} tokens, found {len(toks)}")
-        row = []
         for t in toks:
             if not TOKEN_RE.match(t):
                 raise PcgParseError(f"line {no}: bad token {t!r}")
-            if t not in ids:
-                ids[t] = len(ids) + 1
-                tokens.append(t)
-            row.append(ids[t])
-        rows.append(tuple(row))
-    return PeriodicColoring(lat, tuple(rows), tuple(tokens))
+        cells.append(toks)
+    tokens = tuple(sorted({t for row in cells for t in row}, key=_token_key))
+    ids = {t: i for i, t in enumerate(tokens, 1)}
+    rows = tuple(tuple(ids[t] for t in row) for row in cells)
+    return PeriodicColoring(lat, rows, tokens)
+
+
+def _token_key(t: str) -> tuple:
+    """Numerals first, by value, then words; no int(), which refuses a
+    numeral of more than a few thousand digits."""
+    if t.isdigit():
+        digits = t.lstrip("0")
+        return (0, len(digits), digits, t)
+    return (1, t)
 
 
 def render(F: PeriodicColoring) -> str:
@@ -483,7 +480,6 @@ def _least_translation(
     return tuple(c for row in best for c in row)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def canonical(F: PeriodicColoring) -> str:
     """Least PCG rendering of F over point transforms, translations,
     and first-occurrence relabeling, on the maximal period lattice.

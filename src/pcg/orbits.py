@@ -14,10 +14,9 @@ property.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
-from .coloring import CACHE_SIZE, Lattice, PeriodicColoring, maximal_periods
+from .coloring import Lattice, PeriodicColoring, maximal_periods
 from .coloring import _image, translations
 from .grid import GridAutomorphism, Vec2, d4_elements
 
@@ -34,7 +33,6 @@ class StabilizerGroup:
         return len(self.elements)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def stabilizer(F: PeriodicColoring) -> StabilizerGroup:
     """All (point, shift mod periods) fixing F; verified group-closed.
 
@@ -63,15 +61,18 @@ def stabilizer(F: PeriodicColoring) -> StabilizerGroup:
     return group
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def orbits(F: PeriodicColoring) -> tuple[tuple[Vec2, ...], ...]:
     """Orbits of the stabilizer on the cells of the maximal-period torus.
 
     Each orbit is sorted row-major and orbits are listed by their least
     cell; every orbit is monochromatic, so they always refine colors.
-    The stabilizer is a verified group, so a cell's images are its orbit.
     """
-    group = stabilizer(F)
+    return _orbits(stabilizer(F))
+
+
+def _orbits(group: StabilizerGroup) -> tuple[tuple[Vec2, ...], ...]:
+    """`orbits` of the coloring whose stabilizer is `group`. The group is
+    verified closed, so a cell's images are its orbit."""
     lat = group.lattice
     seen: set[Vec2] = set()
     out = []
@@ -107,7 +108,8 @@ class OrbitReport:
 
 def orbit_report(F: PeriodicColoring) -> OrbitReport:
     """Orbit decision plus the first same-color pair no symmetry joins."""
-    parts = orbits(F)
+    group = stabilizer(F)
+    parts = _orbits(group)
     # the pair is the least cells of the first two orbits of the least split color
     heads: dict[int, list[Vec2]] = {}
     for orb in parts:
@@ -117,6 +119,6 @@ def orbit_report(F: PeriodicColoring) -> OrbitReport:
     return OrbitReport(
         is_orbit=pair is None,
         num_orbits=len(parts),
-        stabilizer_order=stabilizer(F).order,
+        stabilizer_order=group.order,
         counterexample_pair=pair,
     )

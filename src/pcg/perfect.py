@@ -10,11 +10,10 @@ walk counts, the stationary vector, and the parity refinement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence, Union
 
-from .coloring import CACHE_SIZE, Lattice, PeriodicColoring, WindowColoring, _block
-from .grid import Vec2, neighbors, parity
+from .coloring import Lattice, PeriodicColoring, WindowColoring, _block
+from .grid import Vec2, parity
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -45,12 +44,6 @@ class DetailedBalanceError(ValueError):
     """S admits no positive stationary vector (so S is not a grid quotient)."""
 
 
-def profile(F: PeriodicColoring, v: Vec2) -> tuple[int, int, int, int]:
-    """Colors of the 4 neighbors of v, sorted, with multiplicity."""
-    a, b, c, d = (F.color_at(u) for u in neighbors(v))
-    return tuple(sorted((a, b, c, d)))
-
-
 def _counts(colors: tuple[int, ...], n: int) -> tuple[int, ...]:
     row = [0] * n
     for c in colors:
@@ -66,7 +59,6 @@ def _stars(cells: Sequence[Sequence[Any]]) -> Iterator[tuple[Any, ...]]:
             yield x, y, c, (east, west, south, north)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def check(F: PeriodicColoring) -> Union[QuotientMatrix, Violation]:
     """The quotient matrix of F, or the first violation in row-major order."""
     lat = F.lattice

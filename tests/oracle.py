@@ -5,7 +5,8 @@ and the search's `_first_occurrence` key, full-scan versions of the
 translation kernels in pcg.coloring, a canonical form that scans every
 D4 image in full, cell-by-cell versions of every shifted or rotated
 read of a coloring (translate, transform, rebase, window, the
-perfectness check and the stabilizer), a node-by-node window check, and
+perfectness check from each cell's sorted neighbor colors, and the
+stabilizer), a node-by-node window check, and
 a union-find over the stabilizer's moves for the orbits and the orbit
 report."""
 
@@ -16,7 +17,7 @@ from pcg.coloring import Lattice, PeriodicColoring, WindowColoring, _text, canon
 from pcg.coloring import parse
 from pcg.grid import GridAutomorphism, Vec2, d4_elements, neighbors
 from pcg.orbits import OrbitReport, StabilizerGroup, stabilizer
-from pcg.perfect import QuotientMatrix, Violation, _counts, check, profile
+from pcg.perfect import QuotientMatrix, Violation, _counts, check
 from pcg.search import SearchSpec, matrices_conjugate
 
 _Sym = TypeVar("_Sym")
@@ -171,6 +172,12 @@ def brute_window(
         for r in range(height)
     )
     return WindowColoring(origin, width, height, cells)
+
+
+def profile(F: PeriodicColoring, v: Vec2) -> tuple[int, int, int, int]:
+    """Colors of the 4 neighbors of v, sorted, with multiplicity."""
+    a, b, c, d = (F.color_at(u) for u in neighbors(v))
+    return tuple(sorted((a, b, c, d)))
 
 
 def brute_check(F: PeriodicColoring) -> Union[QuotientMatrix, Violation]:

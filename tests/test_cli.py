@@ -120,7 +120,7 @@ def test_merge_writes_merged_coloring(paths, capsys, tmp_path):
         capsys, "merge", paths("II-base"), "1", "2", "-o", str(out_path)
     )
     assert code == 0
-    M = parse(out_path.read_text()).relabel_sorted_tokens()
+    M = parse(out_path.read_text())
     assert check(M) == ((0, 0, 4), (0, 0, 4), (3, 1, 0))
 
 
@@ -326,6 +326,8 @@ FILE_COMMANDS = (
     text=st.one_of(st.text(), garbled_renderings()),
 )
 @example(cmd="verify", as_json=False, text="\ud800# pcg v1\nperiods (1,0) (0,1)\n1\n")
+# a numeral token with more digits than int() converts
+@example(cmd="verify", as_json=False, text=f"# pcg v1\nperiods (2,0) (0,1)\n{'1' * 5000} 2\n")
 @settings(
     max_examples=200,
     deadline=None,
@@ -407,7 +409,7 @@ def test_fixture_list(capsys):
 def test_fixture_show_roundtrip(capsys):
     code, out, err = run(capsys, "fixture", "show", "h")
     assert code == 0
-    assert parse(out).relabel_sorted_tokens() == fixtures.get("h")
+    assert parse(out) == fixtures.get("h")
 
 
 def test_fixture_show_unknown(capsys):

@@ -4,6 +4,7 @@ import random
 
 from hypothesis import given, settings
 
+import pcg.orbits
 from pcg import fixtures
 from pcg.coloring import Lattice, maximal_periods
 from pcg.grid import GridAutomorphism, IDENTITY, d4_elements
@@ -128,6 +129,17 @@ def test_orbit_report_on_orbit_coloring():
     assert rep.is_orbit
     assert rep.counterexample_pair is None
     assert rep.num_orbits == 8
+
+
+def test_orbit_report_builds_the_stabilizer_once(monkeypatch):
+    # nothing memoises the stabilizer, so the report must reuse its one group
+    built = []
+    monkeypatch.setattr(
+        pcg.orbits, "stabilizer", lambda F: built.append(F) or stabilizer(F)
+    )
+    F = fixtures.get("8-150-2")
+    assert orbit_report(F).stabilizer_order == 2
+    assert built == [F]
 
 
 @given(colorings())

@@ -12,7 +12,10 @@ seed last in the next, so a drift in host speed falls on all alike.
 
 BENCH_<label>.json, written to --out-dir, holds the checkout's git
 revision, the Python version, nproc, the CPU model and every run: its
-workload and seed, run.py's context line and its last line, the result.
+workload and seed, run.py's context line and its last line, the result,
+and ``calibration_s``, the time of a fixed pure-Python loop taken just
+before the run. Runs within one file compare as they are; to compare
+files recorded on different days, scale each by its calibration_s.
 Standard library only.
 """
 
@@ -24,6 +27,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
@@ -53,13 +57,31 @@ def cpu_model() -> str:
     return platform.processor() or platform.machine()
 
 
+def calibration_s(repeats: int = 3) -> float:
+    """The least time, in seconds, of a fixed loop of integer, tuple and
+    dict work in this interpreter: a measure of the host's speed at the
+    time of a run, independent of the code under test."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        seen: dict[tuple[int, int], int] = {}
+        x = 1
+        for i in range(200_000):
+            x = (x * 1103515245 + 12345) & 0x7FFFFFFF
+            key = (x & 1023, i & 7)
+            seen[key] = seen.get(key, 0) + 1
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
+    calibration = calibration_s()
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = [ln for ln in proc.stdout.splitlines() if ln.strip()]
     run = {"workload": workload, "seed": seed, "seconds": seconds,
-           "returncode": proc.returncode}
+           "returncode": proc.returncode, "calibration_s": calibration}
     if proc.returncode == 0 and len(lines) >= 2:
         run["context"] = json.loads(lines[-2]).get("context")
         run["result"] = json.loads(lines[-1])
@@ -102,7 +124,8 @@ def main(argv: list[str] | None = None) -> int:
                 result = run.get("result", {})
                 wall = result.get("metrics", {}).get("wall_s", {}).get("value")
                 print(f"{label} {workload} seed {seed}: wall_s {wall} "
-                      f"correct {result.get('correct')}", file=sys.stderr)
+                      f"correct {result.get('correct')} "
+                      f"calibration_s {run['calibration_s']:.3f}", file=sys.stderr)
                 failed += not result.get("correct", False)
             turn.reverse()
     args.out_dir.mkdir(parents=True, exist_ok=True)
