@@ -233,7 +233,10 @@ def brute_verify_window(
 
 def brute_orbits(F: PeriodicColoring) -> tuple[tuple[Vec2, ...], ...]:
     """The same answer as orbits(F), joining v and aut(v) in a union-find."""
-    group = stabilizer(F)
+    return _union_find_orbits(stabilizer(F))
+
+
+def _union_find_orbits(group: StabilizerGroup) -> tuple[tuple[Vec2, ...], ...]:
     lat = group.lattice
     parent: dict[Vec2, Vec2] = {v: v for v in lat.domain()}
 
@@ -260,7 +263,7 @@ def brute_orbit_report(F: PeriodicColoring) -> OrbitReport:
     """The same report as orbit_report(F), scanning each color's cells in
     row-major order for the first one outside the first cell's orbit."""
     group = stabilizer(F)
-    parts = brute_orbits(F)
+    parts = _union_find_orbits(group)
     base = F.rebase(group.lattice)
     owner: dict[Vec2, int] = {}
     for i, orb in enumerate(parts):
