@@ -18,7 +18,7 @@ from typing import Optional
 
 from .coloring import Lattice, PeriodicColoring, maximal_periods
 from .coloring import _image, translations
-from .grid import GridAutomorphism, Vec2, d4_elements
+from .grid import GridAutomorphism, Vec2, d4_elements, mat_apply
 
 
 @dataclass(frozen=True)
@@ -38,12 +38,14 @@ def stabilizer(F: PeriodicColoring) -> StabilizerGroup:
 
     On the maximal lattice only the zero domain shift is a period, so each
     point map g keeps at most one shift, and the order is at most 8.
+    g preserves the lattice when it maps the basis into it: g is
+    orthogonal, so gL, inside L and of the same index, is L.
     """
     lat = maximal_periods(F)
     base = F.rebase(lat)
     elements = []
     for g in d4_elements():
-        if lat.transform(g) == lat:
+        if all(lat.contains(mat_apply(g, b)) for b in lat.basis):
             image = _image(base.rows, lat, lat, GridAutomorphism(g, (0, 0)))
             for t in translations(image, base.rows, lat):
                 elements.append(GridAutomorphism(g, t))

@@ -1,7 +1,8 @@
 """Slow references that keep the fast paths honest: a pruning-free
 enumerator for the tree search, a least-translation key for its leaf
-dedup, the first-occurrence relabel that defines the canonical form
-and the search's `_first_occurrence` key, full-scan versions of the
+dedup and for the translation classes it keeps, the first-occurrence
+relabel that defines the canonical form and the search's
+`_first_occurrence` key, full-scan versions of the
 translation kernels in pcg.coloring, a canonical form that scans every
 D4 image in full, cell-by-cell versions of every shifted or rotated
 read of a coloring (translate, transform, rebase, window, the
@@ -11,7 +12,7 @@ a union-find over the stabilizer's moves for the orbits and the orbit
 report."""
 
 import itertools
-from typing import Optional, Sequence, TypeVar, Union
+from typing import Iterator, Optional, Sequence, TypeVar, Union
 
 from pcg.coloring import Lattice, PeriodicColoring, WindowColoring, _text, canonical
 from pcg.coloring import parse
@@ -24,16 +25,19 @@ _Sym = TypeVar("_Sym")
 
 
 def brute_oracle(spec: SearchSpec) -> tuple[PeriodicColoring, ...]:
-    """The same answer as enumerate_colorings, computed the slow way.
+    """The same answer as enumerate_colorings, computed the slow way."""
+    out = {canonical(F) for F in brute_perfect_colorings(spec)}
+    return tuple(parse(s) for s in sorted(out))
 
-    Every assignment of colors to the cells goes through the real
-    perfectness check.
-    """
+
+def brute_perfect_colorings(spec: SearchSpec) -> Iterator[PeriodicColoring]:
+    """Every perfect coloring of the torus that `spec` accepts, in every
+    naming of its colors as 1..k: each assignment of colors to the cells
+    goes through the real perfectness check."""
     cells = spec.lattice.index
     if cells > 12 or spec.max_colors > 4:
         raise ValueError("oracle guard: at most 12 cells and 4 colors")
     lat = spec.lattice
-    out: set[str] = set()
     for assignment in itertools.product(
         range(1, spec.max_colors + 1), repeat=cells
     ):
@@ -52,8 +56,7 @@ def brute_oracle(spec: SearchSpec) -> tuple[PeriodicColoring, ...]:
             continue
         if spec.quotient is not None and not matrices_conjugate(S, spec.quotient):
             continue
-        out.add(canonical(F))
-    return tuple(parse(s) for s in sorted(out))
+        yield F
 
 
 def translation_key(flat: Sequence[int], lattice: Lattice) -> tuple[int, ...]:
