@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 from typing import Optional
@@ -30,6 +31,7 @@ from .perfect import (
     NotPerfectError,
     Violation,
     check,
+    describe,
     quotient,
     stationary,
 )
@@ -75,19 +77,11 @@ def _print_matrix(S) -> None:
         print(" ".join(str(x) for x in row))
 
 
-def _violation_line(F: PeriodicColoring, v: Violation) -> str:
-    seen = " ".join(F.tokens[c - 1] for c in v.observed)
-    return (
-        f"not perfect: node {v.node} of color {F.tokens[v.color - 1]} "
-        f"sees [{seen}]"
-    )
-
-
 def _cmd_verify(args) -> int:
     F = _load(args.file)
     out = check(F)
     if isinstance(out, Violation):
-        print(_violation_line(F, out))
+        print(f"not perfect: {describe(F, out)}")
         return 1
     _print_matrix(out)
     return 0
@@ -352,4 +346,12 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout, as `| head` does. Python would flush
+        # again at exit and fail, so send what is left to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

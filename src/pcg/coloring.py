@@ -213,12 +213,6 @@ class PeriodicColoring:
         cells = _block(self.rows, self.lattice, *origin, width, height)
         return WindowColoring(origin, width, height, cells)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "periods": [list(b) for b in self.lattice.basis],
-            "rows": [[self.tokens[c - 1] for c in row] for row in self.rows],
-        }
-
 
 @dataclass(frozen=True)
 class WindowColoring:

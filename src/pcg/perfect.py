@@ -31,13 +31,16 @@ class Violation:
     observed: tuple[int, int, int, int]  # sorted colors of the 4 neighbors
 
 
+def describe(F: PeriodicColoring, v: Violation) -> str:
+    """The violation v of F, its colors named by F's tokens."""
+    seen = " ".join(F.tokens[c - 1] for c in v.observed)
+    return f"node {v.node} of color {F.tokens[v.color - 1]} sees [{seen}]"
+
+
 class NotPerfectError(ValueError):
-    def __init__(self, violation: Violation):
+    def __init__(self, F: PeriodicColoring, violation: Violation):
         self.violation = violation
-        super().__init__(
-            f"not a perfect coloring: node {violation.node} of color "
-            f"{violation.color} sees {violation.observed}"
-        )
+        super().__init__(f"not a perfect coloring: {describe(F, violation)}")
 
 
 class DetailedBalanceError(ValueError):
@@ -77,7 +80,7 @@ def quotient(F: PeriodicColoring) -> QuotientMatrix:
     """Like `check` but raises NotPerfectError instead of returning a Violation."""
     out = check(F)
     if isinstance(out, Violation):
-        raise NotPerfectError(out)
+        raise NotPerfectError(F, out)
     return out
 
 

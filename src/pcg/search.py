@@ -12,22 +12,21 @@ to color 1 and introducing new colors in increasing order; full
 deduplication happens afterwards through canonical forms, so point
 symmetries need no special treatment during search.
 
-Translations are broken on the diagonal of the quotient S. A
-translation can move any color class onto the first cell, and S(c,c)
-does not change when colors are renamed, so every class has a coloring
-with S(1,1) >= S(c,c) for every color c, and the search keeps only
-those: it prunes once some color's lower bound on S(c,c) (its
-established row, else its partial maximum in column c) passes color
-1's upper bound on S(1,1) (its established row, else 4 minus its other
-partial maxima). Both bounds only tighten with depth.
-
-Translations along row 0 are broken too, by a lex-leader rule: every
-lattice holds (w, 0), so each shift (tx, 0) maps the domain's row 0
-onto itself cyclically. Once row 0 is colored, the search cuts the
-branch if a shift with the origin's color at tx gives row 0 a smaller
-first-occurrence key. That is exact: such a shift keeps the origin's
-color class, so the diagonal rule still holds, and the shift with the
-least key passes, so every translation class keeps a leaf.
+Translations are broken by one order on a coloring's translates: the
+origin color's diagonal quotient entry S(c,c), largest first, then the
+first-occurrence key of the row-major colors; neither sees color names.
+The search keeps the least translate of each class, testing the order at
+three depths. At every step, the diagonal rule prunes once some color's
+lower bound on S(c,c) (its established row, else its partial maximum in
+column c) passes color 1's upper bound on S(1,1) (its established row,
+else 4 minus its other partial maxima); both bounds only tighten with
+depth. Once row 0 is colored, the row-0 rule cuts the branch if a shift
+(tx, 0) with the origin's color at tx gives row 0 a smaller key: every
+lattice holds (w, 0), so the shift maps row 0 onto itself and keeps
+S(1,1), and a translate's key starts with its row 0's. At a leaf,
+`_leads` tests every translate. The least translate passes both prunes,
+so each class keeps one leaf, whatever the engine searched before
+(equal keys mean one partition, which the search reaches once).
 
 Each node is one placement step. A read-only pre-check first tests the
 new color at each colored neighbor in the one column that changes,
@@ -65,6 +64,10 @@ from .grid import d4_elements, neighbors
 from .perfect import QuotientMatrix
 
 
+# `run` recurses once per cell; this keeps it under the default limit of 1000
+MAX_CELLS = 900
+
+
 @dataclass(frozen=True)
 class SearchSpec:
     """What to enumerate: a torus, a color budget, optional quotient."""
@@ -75,6 +78,9 @@ class SearchSpec:
     surjective: bool = True
 
     def __post_init__(self) -> None:
+        if self.lattice.index > MAX_CELLS:
+            n = self.lattice.index
+            raise ValueError(f"the search takes at most {MAX_CELLS} cells, not {n}")
         if not 1 <= self.max_colors <= self.lattice.index:
             raise ValueError("max_colors must be between 1 and the cell count")
         if self.quotient is not None:
@@ -158,8 +164,9 @@ def _greedy_order(nbr: list[tuple[int, ...]]) -> list[int]:
 
 
 class _Engine:
-    """Backtracking state for one torus; trail-undone, reusable. `nodes`
-    counts the colors tried at a cell, forced ones included."""
+    """Backtracking state for one torus; trail-undone, reusable, and no run
+    depends on an earlier one. `nodes` counts the colors tried at a cell,
+    forced ones included."""
 
     def __init__(self, spec: SearchSpec):
         self.spec = spec
@@ -203,15 +210,11 @@ class _Engine:
         self.num_used = 0
         self.trail: list[int] = []
         self.nodes = 0
-        # Leaves are deduplicated up to translation first; `seen` holds the
-        # first-occurrence key of every translate of every representative,
-        # the nonzero ones read through `shifts`. The full canonical form
-        # runs once per representative afterwards.
+        # shifts[i] reads the row-major colors from cell i + 1 as origin
         self.shifts = [
             itemgetter(*(pos[lat.reduce((x + tx, y + ty))] for x, y in cells))
             for tx, ty in cells[1:]
         ]
-        self.seen: set[str] = set()
         self.reps: list[tuple[tuple[int, ...], ...]] = []
 
     def _diagonal_holds(self, x: int, top: int) -> bool:
@@ -357,21 +360,24 @@ class _Engine:
                         lmax[e >> 3] = e & 7
 
     def _leaf(self) -> None:
-        spec = self.spec
-        k = self.num_used
-        if spec.quotient is not None:
-            S = tuple(tuple(self.estab[c][:k]) for c in range(1, k + 1))
-            if not matrices_conjugate(S, spec.quotient):
-                return
-        text = "".join(map(chr, self.color))
-        key = _first_occurrence(text)
-        if key in self.seen:
+        k, q = self.num_used, self.spec.quotient
+        S = [self.estab[c][:k] for c in range(1, k + 1)]  # every used color has one
+        if q is not None and not matrices_conjugate(S, q):
             return
-        self.seen.add(key)
-        self.seen.update(_first_occurrence("".join(g(text))) for g in self.shifts)
-        w = spec.lattice.w
-        rows = range(0, self.N, w)
-        self.reps.append(tuple(tuple(self.color[y : y + w]) for y in rows))
+        text = "".join(map(chr, self.color))
+        if self._leads(text, [row[c] for c, row in enumerate(S)]):
+            w, rows = self.w, range(0, self.N, self.w)
+            self.reps.append(tuple(tuple(self.color[y : y + w]) for y in rows))
+
+    def _leads(self, text: str, diagonal: list[int]) -> bool:
+        """Is `text`, with S(c,c) = diagonal[c-1], first among its translates?"""
+        top = diagonal[ord(text[0]) - 1]
+        key = _first_occurrence(text)
+        for c, shift in zip(text[1:], self.shifts):
+            d = diagonal[ord(c) - 1]
+            if d > top or d == top and _first_occurrence("".join(shift(text))) < key:
+                return False
+        return True
 
     def canonicals(self) -> set[str]:
         lat = self.spec.lattice
@@ -393,8 +399,8 @@ def _start_worker(spec: SearchSpec) -> None:
 
 
 def _run_prefix(prefix: tuple[int, ...]) -> set[str]:
-    """Canonical forms of the colorings under `prefix` that this worker's
-    engine has not met under an earlier prefix."""
+    """Canonical forms of the colorings under `prefix`; they do not depend
+    on the prefixes this worker's engine ran before."""
     eng = _worker_engine
     assert eng is not None
     eng.reps.clear()

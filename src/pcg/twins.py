@@ -31,10 +31,12 @@ NEAR_OFFSETS: tuple[Vec2, ...] = (
 
 
 class TwinMergeError(ValueError):
-    def __init__(self, a: int, b: int, column: int):
+    def __init__(self, F: PeriodicColoring, a: int, b: int, column: int):
         self.column = column
+        t = F.tokens
         super().__init__(
-            f"colors {a} and {b} are not twins: rows differ in column {column}"
+            f"colors {t[a - 1]} and {t[b - 1]} are not twins: "
+            f"rows differ in column {t[column - 1]}"
         )
 
 
@@ -72,7 +74,7 @@ def merge(F: PeriodicColoring, a: int, b: int) -> PeriodicColoring:
     lo, hi = min(a, b), max(a, b)
     j = _twin_mismatch(S, a, b)
     if j is not None:
-        raise TwinMergeError(a, b, j)
+        raise TwinMergeError(F, a, b, j)
 
     def renum(c: int) -> int:
         if c == hi:

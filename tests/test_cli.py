@@ -1,6 +1,10 @@
 """End-to-end runs of every CLI subcommand through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 
 from pcg import fixtures
 from pcg.cli import _build_parser, main
-from pcg.coloring import parse, render
+from pcg.coloring import PeriodicColoring, parse, render
 from pcg.perfect import Violation, check
 
 from test_coloring import garbled_renderings
@@ -83,6 +87,33 @@ def test_quotient_of_broken_coloring_fails(tmp_path, capsys):
     assert "not a perfect coloring" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "FILE"],
+        ["quotient", "FILE"],
+        ["twins", "FILE"],
+        ["stationary", "FILE"],
+        ["audit", "FILE"],
+        ["merge", "FILE", "u", "v", "-o", "OUT"],
+        ["enumerate", "--width", "2", "--height", "2", "--colors", "2",
+         "--quotient", "FILE"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_violation_names_colors_by_token(tmp_path, capsys, argv):
+    p = tmp_path / "bad.pcg"
+    p.write_text("# pcg v1\nperiods (2,0) (0,2)\nu v\nv v\n")
+    subst = {"FILE": str(p), "OUT": str(tmp_path / "out.pcg")}
+    code, out, err = run(capsys, *(subst.get(a, a) for a in argv))
+    assert code == 1
+    line = "node (1, 1) of color v sees [v v v v]\n"
+    if argv[0] == "verify":
+        assert (out, err) == ("not perfect: " + line, "")
+    else:
+        assert (out, err) == ("", "not a perfect coloring: " + line)
+
+
 def test_classify_text(paths, capsys):
     code, out, err = run(capsys, "classify", paths("h"))
     assert code == 0
@@ -130,6 +161,17 @@ def test_merge_non_twins_fails(paths, capsys, tmp_path):
     )
     assert code == 1
     assert "not twins" in err
+
+
+def test_merge_non_twins_names_colors_by_token(capsys, tmp_path):
+    F = fixtures.get("II-base")
+    p = tmp_path / "g.pcg"
+    p.write_text(render(PeriodicColoring(F.lattice, F.rows, ("w", "x", "y", "z"))))
+    code, out, err = run(
+        capsys, "merge", str(p), "w", "z", "-o", str(tmp_path / "x.pcg")
+    )
+    assert code == 1
+    assert err == "colors w and z are not twins: rows differ in column x\n"
 
 
 def test_merge_unknown_token_is_usage_error(paths, capsys, tmp_path):
@@ -422,3 +464,50 @@ def test_output_is_deterministic(paths, capsys):
     a = run(capsys, "classify", paths("e"), "--json")
     b = run(capsys, "classify", paths("e"), "--json")
     assert a == b
+
+
+# `python -m pcg` in a fresh interpreter, through entry() as the console
+# script runs it
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def pcg(*argv, **kw):
+    kw.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run(
+        [sys.executable, "-m", "pcg", *argv],
+        stderr=subprocess.PIPE,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=120,
+        **kw,
+    )
+
+
+def test_enumerate_bounds_the_torus():
+    # the search recurses once per cell, so a larger torus is refused
+    # before it can exhaust the stack
+    proc = pcg("enumerate", "--width", "31", "--height", "32", "--colors", "1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "the search takes at most 900 cells, not 992\n"
+    proc = pcg("enumerate", "--width", "30", "--height", "30", "--colors", "1")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("total 1\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fixture", "list"],
+        ["enumerate", "--width", "6", "--height", "6", "--colors", "4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_closed_stdout_prints_no_traceback(argv):
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before pcg writes, as in `| true`
+    try:
+        proc = pcg(*argv, stdout=write)
+    finally:
+        os.close(write)
+    assert proc.stderr == ""

@@ -51,6 +51,9 @@ def test_spec_validation():
         SearchSpec(Lattice(2, 0, 2), 2, quotient=(), surjective=False)  # empty
     with pytest.raises(ValueError):
         SearchSpec(Lattice(2, 0, 2), 3, quotient=((0, 4), (4, 0)))  # 2 of 3 colors
+    with pytest.raises(ValueError, match="at most 900 cells"):
+        spec(31, 0, 30, 1)  # the search recurses once per cell
+    SearchSpec(Lattice(30, 0, 30), 1)
     # a lax search may use fewer colors than it allows
     SearchSpec(Lattice(2, 0, 2), 3, quotient=((0, 4), (4, 0)), surjective=False)
 
@@ -280,9 +283,10 @@ def _flat(rows):
 @settings(max_examples=60, deadline=None)
 def test_leaf_dedup_keeps_one_coloring_per_translation_class(data):
     """Against the least-translation key of tests/oracle.py: the engine
-    keeps one leaf of each class, in a plain run and prefix by prefix on
-    one engine as a --jobs worker does; a class it has kept is never kept
-    again, whether met again as itself or renamed and moved."""
+    keeps one leaf of each class. Run prefix by prefix on one engine, as
+    a --jobs worker does, it keeps the same leaves in the same order, as
+    no run depends on an earlier one; and its leaf rule rejects every
+    renamed translate of a kept leaf but the leaf itself."""
     lat = data.draw(st.sampled_from(_lattices_up_to_index(12)), label="lattice")
     sp = SearchSpec(
         lat,
@@ -300,35 +304,31 @@ def test_leaf_dedup_keeps_one_coloring_per_translation_class(data):
     eng = Logged(sp)
     eng.run()
     classes = sorted({translation_key(leaf, lat) for leaf in leaves})
+    # a class kept twice would appear twice on the left
     assert sorted(translation_key(_flat(rows), lat) for rows in eng.reps) == classes
 
     prefixes: list[tuple[int, ...]] = []
     eng.run(stop=data.draw(st.integers(1, lat.index), label="depth"), prefixes=prefixes)
     worker = _Engine(sp)
     replayed = []
-    saved = search._worker_engine
+    saved, search._worker_engine = search._worker_engine, worker
     try:
         for prefix in prefixes:
-            search._worker_engine = worker
             search._run_prefix(prefix)
             replayed += worker.reps
-            # the engine that has met every leaf keeps none of them again
-            search._worker_engine = eng
-            assert not search._run_prefix(prefix) and not eng.reps, prefix
     finally:
         search._worker_engine = saved
-    assert sorted(translation_key(_flat(rows), lat) for rows in replayed) == classes
+    assert replayed == eng.reps
 
-    if replayed:
-        F = PeriodicColoring(lat, data.draw(st.sampled_from(replayed), label="rep"))
-        t = data.draw(st.sampled_from(list(lat.domain())), label="shift")
+    if eng.reps:
+        F = PeriodicColoring(lat, data.draw(st.sampled_from(eng.reps), label="rep"))
+        key = _first_occurrence("".join(map(chr, _flat(F.rows))))
         perm = data.draw(st.permutations(range(1, F.n + 1)), label="renaming")
-        G = F.translate(t).relabel(dict(zip(range(1, F.n + 1), perm)))
-        worker.reps.clear()
-        worker.color[:] = _flat(G.rows)
-        worker.num_used = F.n
-        worker._leaf()
-        assert not worker.reps
+        for t in lat.domain():
+            G = F.translate(t).relabel(dict(zip(range(1, F.n + 1), perm)))
+            text = "".join(map(chr, _flat(G.rows)))
+            diagonal = [row[c] for c, row in enumerate(quotient(G))]
+            assert worker._leads(text, diagonal) == (_first_occurrence(text) == key), t
 
 
 @pytest.fixture
