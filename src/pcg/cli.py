@@ -37,7 +37,7 @@ from .perfect import (
 )
 from .report import classify
 from .search import SearchSpec, enumerate_colorings
-from .twins import TwinMergeError, dichotomy_audit, merge, twin_pairs
+from .twins import TwinMergeError, merge, twin_pairs
 
 
 class _Usage(Exception):
@@ -218,15 +218,19 @@ def _cmd_stationary(args) -> int:
 
 def _cmd_audit(args) -> int:
     F = _load(args.file)
-    rep = dichotomy_audit(F)
+    rep = classify(F)
+    if not rep.perfect:
+        raise NotPerfectError(F, rep.violation)
     if args.json:
-        print(json.dumps(rep.to_json_dict()))
+        doc = rep.to_json_dict()
+        keys = ("covering", "twins", "orbit")
+        print(json.dumps({**{k: doc[k] for k in keys}, "dichotomy": rep.dichotomy}))
     else:
-        print(f"covering: {str(rep.is_covering).lower()}")
+        print(f"covering: {str(rep.covering).lower()}")
         print(f"twins: {len(rep.twin_pairs)}")
-        print(f"orbit: {str(rep.is_orbit).lower()}")
-        print(f"dichotomy: {'holds' if rep.dichotomy_holds else 'FAILS'}")
-    return 0 if rep.dichotomy_holds else 1
+        print(f"orbit: {str(rep.orbit).lower()}")
+        print(f"dichotomy: {'holds' if rep.dichotomy else 'FAILS'}")
+    return 0 if rep.dichotomy else 1
 
 
 def _cmd_fixture(args) -> int:

@@ -2,8 +2,8 @@
 
 `classify` runs the perfectness check and, on a perfect coloring, the
 quotient-level analyses (bipartiteness, twins, coverings) and the
-coloring-level ones (special diagonals, the orbit decision); the
-maximal periods and the canonical form are reported either way.
+coloring-level ones (special diagonals, the orbit decision), and so the
+covering dichotomy; maximal periods and canonical form come either way.
 """
 
 from __future__ import annotations
@@ -33,6 +33,14 @@ class ClassificationReport:
     maximal: Lattice
     canonical: str
     tokens: tuple[str, ...]
+
+    @property
+    def dichotomy(self) -> Optional[bool]:
+        """Does a covering have twin colors or is it orbit? True when not a
+        covering, None when not perfect."""
+        if not self.perfect:
+            return None
+        return not self.covering or self.orbit or bool(self.twin_pairs)
 
     def to_json_dict(self) -> dict:
         toks = self.tokens

@@ -59,7 +59,7 @@ from dataclasses import dataclass, replace
 from operator import gt, itemgetter, le
 from typing import Optional
 
-from .coloring import CACHE_SIZE, Lattice, PeriodicColoring, canonical, parse
+from .coloring import CACHE_SIZE, Lattice, PeriodicColoring, _block, canonical, parse
 from .grid import d4_elements, neighbors
 from .perfect import QuotientMatrix
 
@@ -143,7 +143,9 @@ def _greedy_order(nbr: list[tuple[int, ...]]) -> list[int]:
     """From cell 0, keep coloring the cell with the most colored neighbors.
 
     Ties go to the cell that completes the most colored cells'
-    neighborhoods, then to the lowest index.
+    neighborhoods, then to the lowest index. Only the frontier, the
+    uncolored neighbors of colored cells, can win: the torus is
+    connected, so the frontier is empty only once every cell is colored.
     """
     placed = [False] * len(nbr)
 
@@ -156,10 +158,13 @@ def _greedy_order(nbr: list[tuple[int, ...]]) -> list[int]:
         return (-sum(placed[u] for u in others), -closes, c)
 
     order: list[int] = []
-    while len(order) < len(nbr):
-        c = min((c for c in range(len(nbr)) if not placed[c]), key=key)
+    frontier = {0}
+    while frontier:
+        c = min(frontier, key=key)
+        frontier.remove(c)
         placed[c] = True
         order.append(c)
+        frontier.update(u for u in nbr[c] if not placed[u])
     return order
 
 
@@ -210,9 +215,13 @@ class _Engine:
         self.num_used = 0
         self.trail: list[int] = []
         self.nodes = 0
-        # shifts[i] reads the row-major colors from cell i + 1 as origin
+        # shifts[i] reads the row-major colors from cell i + 1 as origin;
+        # ids[y][x] is the id of the domain cell that node (x, y) shows
+        w, h = lat.w, lat.h
+        domain = [range(y * w, y * w + w) for y in range(h)]
+        ids = _block(domain, lat, 0, 0, 2 * w, 2 * h)
         self.shifts = [
-            itemgetter(*(pos[lat.reduce((x + tx, y + ty))] for x, y in cells))
+            itemgetter(*(i for row in ids[ty : ty + h] for i in row[tx : tx + w]))
             for tx, ty in cells[1:]
         ]
         self.reps: list[tuple[tuple[int, ...], ...]] = []

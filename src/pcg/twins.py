@@ -1,23 +1,21 @@
-"""Twin colors, covering quotients, and the covering dichotomy.
+"""Twin colors and covering quotients.
 
 Colors a, b are twins when S[a][j] = S[b][j] for every j outside
 {a, b}; merging twins preserves perfectness. A covering is a perfect
 coloring whose quotient is a symmetric {0,1}-matrix with zero
 diagonal, i.e. the adjacency matrix of a simple target graph. For
 coverings, either some pair of colors is twin or the coloring is an
-orbit coloring; `dichotomy_audit` checks that alternative on a
-concrete coloring.
+orbit coloring; `report.ClassificationReport.dichotomy` checks that
+alternative on a concrete coloring.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
 from .coloring import PeriodicColoring
 from .grid import Vec2
-from .orbits import is_orbit
 from .perfect import QuotientMatrix, _asymmetric_support, quotient
 
 # Offsets at which a covering without equal rows never repeats a color:
@@ -132,37 +130,3 @@ def near_distinctness(
             if F.color_at((v[0] + dx, v[1] + dy)) == c:
                 return False, (v, (dx, dy))
     return True, None
-
-
-@dataclass(frozen=True)
-class DichotomyReport:
-    is_covering: bool
-    twin_pairs: tuple[tuple[int, int], ...]
-    is_orbit: bool
-    dichotomy_holds: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "covering": self.is_covering,
-            "twins": [list(p) for p in self.twin_pairs],
-            "orbit": self.is_orbit,
-            "dichotomy": self.dichotomy_holds,
-        }
-
-
-def dichotomy_audit(F: PeriodicColoring) -> DichotomyReport:
-    """For coverings: either twins exist or the coloring is orbit.
-
-    Other perfect colorings satisfy the dichotomy vacuously; the report
-    still carries their twin pairs and orbit-ness.
-    """
-    S = quotient(F)
-    covering = covering_target(S) is not None
-    twins = twin_pairs(S)
-    orbit = is_orbit(F)
-    return DichotomyReport(
-        is_covering=covering,
-        twin_pairs=twins,
-        is_orbit=orbit,
-        dichotomy_holds=(not covering) or orbit or bool(twins),
-    )

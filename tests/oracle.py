@@ -1,5 +1,6 @@
 """Slow references that keep the fast paths honest: a pruning-free
-enumerator for the tree search, a least-translation key for its leaf
+enumerator for the tree search, the search's cell order scanning every
+uncolored cell at each step, a least-translation key for its leaf
 dedup and for the translation classes it keeps, the first-occurrence
 relabel that defines the canonical form and the search's
 `_first_occurrence` key, full-scan versions of the
@@ -57,6 +58,27 @@ def brute_perfect_colorings(spec: SearchSpec) -> Iterator[PeriodicColoring]:
         if spec.quotient is not None and not matrices_conjugate(S, spec.quotient):
             continue
         yield F
+
+
+def brute_greedy_order(nbr: list[tuple[int, ...]]) -> list[int]:
+    """The same answer as search._greedy_order, taking each step's min over
+    every uncolored cell rather than over the frontier."""
+    placed = [False] * len(nbr)
+
+    def key(c: int) -> tuple[int, int, int]:
+        others = [u for u in nbr[c] if u != c]
+        closes = sum(
+            placed[u] and all(placed[v] or v == c for v in nbr[u])
+            for u in set(others)
+        )
+        return (-sum(placed[u] for u in others), -closes, c)
+
+    order: list[int] = []
+    while len(order) < len(nbr):
+        c = min((c for c in range(len(nbr)) if not placed[c]), key=key)
+        placed[c] = True
+        order.append(c)
+    return order
 
 
 def translation_key(flat: Sequence[int], lattice: Lattice) -> tuple[int, ...]:

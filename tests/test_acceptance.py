@@ -17,8 +17,9 @@ from pcg.diagonals import diagonal_classes, find_special_diagonals, shift_residu
 from pcg.grid import neighbors
 from pcg.orbits import is_orbit
 from pcg.perfect import Violation, check, dk, refine_bipartite, stationary
+from pcg.report import classify
 from pcg.search import SearchSpec, _enumerate, matrices_conjugate
-from pcg.twins import dichotomy_audit, equal_rows, merge, near_distinctness, twin_pairs
+from pcg.twins import covering_target, equal_rows, merge, near_distinctness, twin_pairs
 
 from oracle import brute_oracle
 
@@ -96,10 +97,10 @@ def test_a06_dichotomy_for_all_coverings(capsys, small_sweep):
     pool += [(f"sweep[{i}]", F) for i, F in enumerate(small_sweep)]
     n_cov = 0
     for name, F in pool:
-        rep = dichotomy_audit(F)
-        if rep.is_covering:
+        rep = classify(F)
+        if rep.covering:
             n_cov += 1
-            if not rep.dichotomy_holds:
+            if not rep.dichotomy:
                 bad.append(name)
     _report(
         capsys,
@@ -300,8 +301,8 @@ def test_a13_near_distinctness_of_sharp_coverings(capsys, small_sweep):
     pool += [(f"sweep[{i}]", F) for i, F in enumerate(small_sweep)]
     n_checked = 0
     for name, F in pool:
-        rep = dichotomy_audit(F)
-        if not rep.is_covering or equal_rows(check(F)) != ():
+        S = check(F)
+        if covering_target(S) is None or equal_rows(S) != ():
             continue
         n_checked += 1
         ok, witness = near_distinctness(F)

@@ -123,6 +123,14 @@ def test_classify_text(paths, capsys):
     assert "maximal periods: (4,0) (2,2)" in out
 
 
+def test_classify_text_on_broken_coloring(tmp_path, capsys):
+    p = tmp_path / "bad.pcg"
+    p.write_text("# pcg v1\nperiods (2,0) (0,2)\n1 1\n1 2\n")
+    code, out, err = run(capsys, "classify", str(p))
+    assert code == 0
+    assert out == "perfect: false\nviolation: node (1, 0)\n"
+
+
 def test_classify_json(paths, capsys):
     code, out, err = run(capsys, "classify", paths("8-150-1"), "--json")
     assert code == 0
@@ -335,6 +343,10 @@ def test_enumerate_bad_lattice_is_usage_error(capsys):
         (["classify", "WIDE"], "more cells than the text holds"),
         # periods are ASCII digits only, as render writes them
         (["classify", "NON_ASCII"], "expected 'periods (a,b) (c,d)'"),
+        (["enumerate", "--width", "2", "--height", "2", "--colors", "2",
+          "--jobs", "x"], "invalid int value: 'x'"),
+        # colors 1 and 2 of II-base are twins, so only the write fails
+        (["merge", "FILE", "1", "2", "-o", "NO_DIR"], "cannot write"),
     ],
 )
 def test_bad_arguments_are_usage_errors(paths, capsys, tmp_path, argv, message):
@@ -346,7 +358,11 @@ def test_bad_arguments_are_usage_errors(paths, capsys, tmp_path, argv, message):
         "WIDE": b"# pcg v1\nperiods (" + nines + b",1) (0," + nines + b")\n1\n",
         "NON_ASCII": "# pcg v1\nperiods (\u0662,0) (0,\uff11)\na b\n".encode(),
     }
-    subst = {"FILE": paths("II-base"), "OUT": str(out_path)}
+    subst = {
+        "FILE": paths("II-base"),
+        "OUT": str(out_path),
+        "NO_DIR": str(tmp_path / "no such dir" / "out.pcg"),
+    }
     for name, data in files.items():
         subst[name] = str(tmp_path / f"{name}.pcg")
         (tmp_path / f"{name}.pcg").write_bytes(data)
@@ -429,15 +445,21 @@ def test_audit_holds(paths, capsys):
 
 
 def test_audit_json(paths, capsys):
-    code, out, err = run(capsys, "audit", paths("3-17-2"), "--json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc == {
-        "covering": False,
-        "twins": [[1, 2]],
-        "orbit": False,
-        "dichotomy": True,
-    }
+    """Twin colors are named by token, as in every JSON the CLI prints."""
+    F = fixtures.get("3-17-2")
+    G = PeriodicColoring(F.lattice, F.rows, ("red", "green", "blue"))
+    words = paths.dir / "words.pcg"
+    words.write_text(render(G))
+    for path, pair in ((paths("3-17-2"), ["1", "2"]), (str(words), ["green", "red"])):
+        code, out, err = run(capsys, "audit", path, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc == {
+            "covering": False,
+            "twins": [pair],
+            "orbit": False,
+            "dichotomy": True,
+        }
 
 
 def test_fixture_list(capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from pcg import fixtures, search
 from pcg.coloring import CACHE_SIZE, Lattice, PeriodicColoring, canonical, parse
-from pcg.grid import d4_elements
+from pcg.grid import d4_elements, neighbors
 from pcg.perfect import Violation, check, quotient
 from pcg.report import classify
 from pcg.search import (
@@ -26,8 +26,8 @@ from pcg.search import (
 )
 
 from conftest import _lattices_up_to_index
-from oracle import brute_oracle, brute_perfect_colorings, first_occurrence
-from oracle import translation_key
+from oracle import brute_greedy_order, brute_oracle, brute_perfect_colorings
+from oracle import first_occurrence, translation_key
 
 
 def spec(w, s, h, colors, **kw):
@@ -130,6 +130,24 @@ def test_cell_order_is_a_permutation():
         assert sorted(order) == list(range(lat.index)), lat
 
 
+def test_engine_tables_match_full_scans():
+    """The frontier-only cell order equals the scan over every uncolored
+    cell, and the translate table read from one block equals a reading
+    of every shifted cell through Lattice.reduce."""
+    for lat in _lattices_up_to_index(24):
+        cells = list(lat.domain())
+        pos = {v: i for i, v in enumerate(cells)}
+        nbr = [tuple(pos[lat.reduce(u)] for u in neighbors(v)) for v in cells]
+        eng = _Engine(SearchSpec(lat, 1))
+        assert eng.order == brute_greedy_order(nbr), lat
+        ids = range(lat.index)
+        want = [
+            tuple(pos[lat.reduce((x + tx, y + ty))] for x, y in cells)
+            for tx, ty in cells[1:]
+        ]
+        assert [shift(ids) for shift in eng.shifts] == want, lat
+
+
 @pytest.mark.parametrize("lat", [Lattice(4, 1, 2), Lattice(7, 3, 1)])
 def test_cell_order_leaves_row_major_when_it_pays(lat):
     assert _Engine(SearchSpec(lat, 1)).order != list(range(lat.index))
@@ -195,6 +213,19 @@ def test_jobs_capped_at_cpu_count(monkeypatch):
     sp = spec(4, 0, 2, 4, surjective=False)
     assert _enumerate(sp, jobs=64) == _enumerate(sp, jobs=1)
     assert sizes == [3]
+
+
+def test_jobs_with_no_prefix_start_no_pool(monkeypatch):
+    """A 3x2 torus has no perfect coloring with 5 colors, and the prefix
+    split runs out of branches before it has enough prefixes for a pool,
+    so it returns before it starts one."""
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _enumerate(SearchSpec(Lattice(3, 0, 2), 5), jobs=2) == ()
 
 
 def nodes(sp):
@@ -450,7 +481,7 @@ def test_classify_broken_coloring():
     rep = classify(F)
     assert not rep.perfect
     assert rep.violation is not None
-    assert rep.quotient is None and rep.orbit is None
+    assert rep.quotient is None and rep.orbit is None and rep.dichotomy is None
     d = rep.to_json_dict()
     assert d["perfect"] is False
     assert d["violation"]["node"] == [1, 0]

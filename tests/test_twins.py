@@ -1,4 +1,4 @@
-"""Twin detection, twin merging, coverings, and the dichotomy audit."""
+"""Twin detection, twin merging, coverings, and the covering dichotomy."""
 
 import itertools
 
@@ -7,13 +7,13 @@ from hypothesis import given, settings
 
 from pcg import fixtures
 from pcg.perfect import DetailedBalanceError, Violation, check, quotient, stationary
+from pcg.report import classify
 from pcg.twins import (
     NEAR_OFFSETS,
     NearDistinctnessPreconditionError,
     TwinMergeError,
     covering_failure,
     covering_target,
-    dichotomy_audit,
     equal_rows,
     merge,
     near_distinctness,
@@ -173,27 +173,25 @@ def test_near_offsets_is_the_sixteen_shift_set():
 
 
 def test_dichotomy_audit_on_twinless_covering():
-    rep = dichotomy_audit(fixtures.get("L1-a"))
-    assert rep.is_covering
+    rep = classify(fixtures.get("L1-a"))
+    assert rep.covering
     assert rep.twin_pairs == ()
-    assert rep.is_orbit
-    assert rep.dichotomy_holds
+    assert rep.orbit
+    assert rep.dichotomy
 
 
 def test_dichotomy_audit_on_twin_covering():
-    rep = dichotomy_audit(fixtures.get("h"))
-    assert rep.is_covering
+    rep = classify(fixtures.get("h"))
+    assert rep.covering
     assert rep.twin_pairs
-    assert rep.dichotomy_holds
+    assert rep.dichotomy
 
 
 def test_dichotomy_audit_vacuous_for_non_coverings():
-    rep = dichotomy_audit(fixtures.get("3-17-2"))
-    assert not rep.is_covering
-    assert not rep.is_orbit
-    assert rep.dichotomy_holds
-    d = rep.to_json_dict()
-    assert d["covering"] is False and d["dichotomy"] is True
+    rep = classify(fixtures.get("3-17-2"))
+    assert rep.covering is False
+    assert rep.orbit is False
+    assert rep.dichotomy is True
 
 
 @given(colorings())
