@@ -1,11 +1,13 @@
 """Twin detection, twin merging, coverings, and the covering dichotomy."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 
 from pcg import fixtures
+from pcg.coloring import parse
 from pcg.perfect import DetailedBalanceError, Violation, check, quotient, stationary
 from pcg.report import classify
 from pcg.twins import (
@@ -185,6 +187,17 @@ def test_dichotomy_audit_on_twin_covering():
     assert rep.covering
     assert rep.twin_pairs
     assert rep.dichotomy
+
+
+def test_dichotomy_holds_by_twins_alone():
+    """A 6-color covering of index 12 that is not orbit: only its twin
+    pairs carry the dichotomy, which fails once they are taken away."""
+    F = parse("# pcg v1\nperiods (6,0) (2,2)\n1 2 3 1 2 4\n3 5 6 4 5 6\n")
+    rep = classify(F)
+    assert rep.covering is True and rep.orbit is False
+    assert rep.twin_pairs == ((1, 5), (2, 6), (3, 4))
+    assert rep.dichotomy is True
+    assert replace(rep, twin_pairs=()).dichotomy is False
 
 
 def test_dichotomy_audit_vacuous_for_non_coverings():
