@@ -222,9 +222,10 @@ def _cmd_audit(args) -> int:
     if not rep.perfect:
         raise NotPerfectError(F, rep.violation)
     if args.json:
-        doc = rep.to_json_dict()
-        keys = ("covering", "twins", "orbit")
-        print(json.dumps({**{k: doc[k] for k in keys}, "dichotomy": rep.dichotomy}))
+        toks = rep.tokens
+        twins = [[toks[a - 1], toks[b - 1]] for a, b in rep.twin_pairs]
+        doc = {"covering": rep.covering, "twins": twins, "orbit": rep.orbit}
+        print(json.dumps({**doc, "dichotomy": rep.dichotomy}))
     else:
         print(f"covering: {str(rep.covering).lower()}")
         print(f"twins: {len(rep.twin_pairs)}")

@@ -1,38 +1,62 @@
 """One report per coloring: every analysis of the package, in one place.
 
-`classify` runs the perfectness check and, on a perfect coloring, the
-quotient-level analyses (bipartiteness, twins, coverings) and the
-coloring-level ones (special diagonals, the orbit decision), and so the
-covering dichotomy; maximal periods and canonical form come either way.
+`classify` runs the perfectness check; every other field is computed on
+its first read and kept. On a perfect coloring these are the quotient-
+level analyses (bipartiteness, twins, coverings), the coloring-level
+ones (special diagonals, the orbit decision) and so the covering
+dichotomy; maximal periods and canonical form come either way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .coloring import Lattice, PeriodicColoring, canonical, maximal_periods
 from .diagonals import DiagonalClass, find_special_diagonals
-from .orbits import is_orbit
-from .perfect import QuotientMatrix, Violation, check, is_bipartite
+from .orbits import orbit_report
+from .perfect import Violation, check, is_bipartite
 from .twins import covering_target, twin_pairs
 
 
-@dataclass(frozen=True)
 class ClassificationReport:
     """Everything the library can say about one coloring, in one place."""
 
-    perfect: bool
-    violation: Optional[Violation]
-    quotient: Optional[QuotientMatrix]
-    bipartite: Optional[bool]
-    twin_pairs: tuple[tuple[int, int], ...]
-    covering: Optional[bool]
-    special_diagonals: tuple[DiagonalClass, ...]
-    orbit: Optional[bool]
-    maximal: Lattice
-    canonical: str
-    tokens: tuple[str, ...]
+    def __init__(self, F: PeriodicColoring):
+        S = check(F)
+        self._coloring = F
+        self.perfect = not isinstance(S, Violation)
+        self.violation = None if self.perfect else S
+        self.quotient = S if self.perfect else None
+        self.tokens = F.tokens
+
+    @cached_property
+    def bipartite(self) -> Optional[bool]:
+        return is_bipartite(self._coloring) if self.perfect else None
+
+    @cached_property
+    def twin_pairs(self) -> tuple[tuple[int, int], ...]:
+        return twin_pairs(self.quotient) if self.perfect else ()
+
+    @cached_property
+    def covering(self) -> Optional[bool]:
+        return covering_target(self.quotient) is not None if self.perfect else None
+
+    @cached_property
+    def special_diagonals(self) -> tuple[DiagonalClass, ...]:
+        return find_special_diagonals(self._coloring) if self.perfect else ()
+
+    @cached_property
+    def orbit(self) -> Optional[bool]:
+        return orbit_report(self._coloring).is_orbit if self.perfect else None
+
+    @cached_property
+    def maximal(self) -> Lattice:
+        return maximal_periods(self._coloring)
+
+    @cached_property
+    def canonical(self) -> str:
+        return canonical(self._coloring)
 
     @property
     def dichotomy(self) -> Optional[bool]:
@@ -67,19 +91,5 @@ class ClassificationReport:
 
 
 def classify(F: PeriodicColoring) -> ClassificationReport:
-    """Run the whole pipeline on one coloring."""
-    S = check(F)
-    perfect = not isinstance(S, Violation)
-    return ClassificationReport(
-        perfect=perfect,
-        violation=None if perfect else S,
-        quotient=S if perfect else None,
-        bipartite=is_bipartite(F) if perfect else None,
-        twin_pairs=twin_pairs(S) if perfect else (),
-        covering=covering_target(S) is not None if perfect else None,
-        special_diagonals=find_special_diagonals(F) if perfect else (),
-        orbit=is_orbit(F) if perfect else None,
-        maximal=maximal_periods(F),
-        canonical=canonical(F),
-        tokens=F.tokens,
-    )
+    """The report of one coloring; only its perfectness check runs here."""
+    return ClassificationReport(F)

@@ -15,7 +15,7 @@ from pcg import fixtures
 from pcg.coloring import Lattice, maximal_periods
 from pcg.diagonals import diagonal_classes, find_special_diagonals, shift_residue_class
 from pcg.grid import neighbors
-from pcg.orbits import is_orbit
+from pcg.orbits import orbit_report
 from pcg.perfect import Violation, check, dk, refine_bipartite, stationary
 from pcg.report import classify
 from pcg.search import SearchSpec, _enumerate, matrices_conjugate
@@ -65,8 +65,8 @@ def test_a04_orbit_split_pair_with_equal_quotients(capsys):
     F2 = fixtures.get("8-150-2")
     S1, S2 = check(F1), check(F2)
     ok = (
-        not is_orbit(F1)
-        and is_orbit(F2)
+        not orbit_report(F1).is_orbit
+        and orbit_report(F2).is_orbit
         and S1 == S2
         and all(x in (0, 1) for row in S1 for x in row)
     )
@@ -82,7 +82,7 @@ def test_a05_three_color_pair_no_twins_after_refinement(capsys):
         R = refine_bipartite(F)
         SR = check(R)
         ok = ok and not isinstance(SR, Violation) and twin_pairs(SR) == ()
-        ok = ok and not is_orbit(F)
+        ok = ok and not orbit_report(F).is_orbit
     _report(
         capsys,
         "A5",
@@ -232,7 +232,7 @@ def test_a10_sheared_stripe_family(capsys):
             or F.n != alpha
             or not L.contains((3, 1))
             or not L.contains((alpha, 0))
-            or not is_orbit(F)
+            or not orbit_report(F).is_orbit
         ):
             bad.append(alpha)
     rejected = False

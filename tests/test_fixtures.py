@@ -4,7 +4,7 @@ import pytest
 
 from pcg import fixtures
 from pcg.coloring import Lattice, maximal_periods, parse
-from pcg.orbits import is_orbit
+from pcg.orbits import orbit_report
 from pcg.perfect import Violation, check, quotient
 from pcg.twins import covering_target, twin_pairs
 
@@ -38,7 +38,7 @@ def test_fixture_flags_match_records(fixture_id, corpus):
     S = quotient(F)
     assert (covering_target(S) is not None) == fx.covering
     assert twin_pairs(S) == fx.twins
-    assert is_orbit(F) == fx.orbit
+    assert orbit_report(F).is_orbit == fx.orbit
 
 
 def test_fixture_colors_property(fixture_id):
@@ -109,7 +109,7 @@ def test_sheared_stripes_family():
         lat = maximal_periods(F)
         assert lat.contains((3, 1))
         assert lat.contains((alpha, 0))
-        assert is_orbit(F)
+        assert orbit_report(F).is_orbit
 
 
 def test_sheared_stripes_rejects_bad_alpha():

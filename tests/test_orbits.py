@@ -9,7 +9,6 @@ from pcg import fixtures
 from pcg.coloring import Lattice, maximal_periods
 from pcg.grid import GridAutomorphism, IDENTITY, d4_elements
 from pcg.orbits import (
-    is_orbit,
     orbit_report,
     orbits,
     stabilizer,
@@ -40,6 +39,21 @@ def test_stabilizer_matches_full_scan(corpus, small_sweep):
         group = stabilizer(F)
         assert group == brute_stabilizer(F)
         assert group.order <= 8
+
+
+def test_stabilizer_is_closed_under_product_and_inverse(corpus, small_sweep):
+    # every point map and shift fixing F is a group by construction, so
+    # `stabilizer` does not check this itself; `_orbits` relies on it
+    for F in [*corpus.values(), *small_sweep]:
+        group = stabilizer(F)
+        lat = group.lattice
+        keys = {(e.point, e.shift) for e in group.elements}
+        for a in group.elements:
+            inv = a.inverse()
+            assert (inv.point, lat.reduce(inv.shift)) in keys, (F, a)
+            for b in group.elements:
+                ab = a.compose(b)
+                assert (ab.point, lat.reduce(ab.shift)) in keys, (F, a, b)
 
 
 def test_stabilizer_lives_on_the_maximal_lattice():
@@ -102,7 +116,8 @@ def test_orbits_and_report_match_union_find(corpus, small_sweep):
 
 def test_orbit_flags_on_corpus():
     for fid in fixtures.fixture_ids():
-        assert is_orbit(fixtures.get(fid)) == fixtures.info(fid).orbit, fid
+        rep = orbit_report(fixtures.get(fid))
+        assert rep.is_orbit == fixtures.info(fid).orbit, fid
 
 
 def test_orbit_counts():
