@@ -8,7 +8,7 @@ in `orbits`, exhaustive search in `search`, and the report that runs
 every analysis on one coloring in `report`.
 """
 
-from .coloring import Lattice, PcgParseError, PeriodicColoring, WindowColoring, parse
+from .coloring import Lattice, PcgParseError, PeriodicColoring, parse
 from .perfect import NotPerfectError, check, quotient
 from .twins import merge, twin_pairs
 
@@ -17,7 +17,6 @@ __all__ = [
     "NotPerfectError",
     "PcgParseError",
     "PeriodicColoring",
-    "WindowColoring",
     "check",
     "merge",
     "parse",

@@ -209,51 +209,6 @@ class PeriodicColoring:
         rows = _block(self.rows, own, 0, 0, lat.w, lat.h)
         return PeriodicColoring(lat, rows, self.tokens)
 
-    def window(self, origin: Vec2, width: int, height: int) -> WindowColoring:
-        cells = _block(self.rows, self.lattice, *origin, width, height)
-        return WindowColoring(origin, width, height, cells)
-
-
-@dataclass(frozen=True)
-class WindowColoring:
-    """A finite rectangle of colors; None marks an unknown cell.
-
-    Used for experiments that break periodicity, where only nodes whose
-    whole neighborhood is known can be verified.
-    """
-
-    origin: Vec2
-    width: int
-    height: int
-    cells: tuple[tuple[Optional[int], ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError("window must be at least 1x1")
-        if len(self.cells) != self.height or any(
-            len(r) != self.width for r in self.cells
-        ):
-            raise ValueError("cell block does not match the window dimensions")
-        if any(
-            c is not None and not (isinstance(c, int) and c >= 1)
-            for row in self.cells
-            for c in row
-        ):
-            raise ValueError("window cells must be colors >= 1 or None")
-
-    def get(self, v: Vec2) -> Optional[int]:
-        """Color at v, or None outside the window or on a masked cell."""
-        c = v[0] - self.origin[0]
-        r = v[1] - self.origin[1]
-        if 0 <= c < self.width and 0 <= r < self.height:
-            return self.cells[r][c]
-        return None
-
-    def nodes(self) -> Iterator[Vec2]:
-        for r in range(self.height):
-            for c in range(self.width):
-                yield (self.origin[0] + c, self.origin[1] + r)
-
 
 def parse(text: str) -> PeriodicColoring:
     """Read PCG text; colors become 1..n in sorted token order.

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .coloring import PeriodicColoring, WindowColoring, maximal_periods
+from .coloring import PeriodicColoring, maximal_periods
 from .grid import DIAGONAL_STEP, Orientation, Vec2, diagonal_index
 
 
@@ -144,26 +144,3 @@ def shift_residue_class(
         tuple(color((x, y)) for x in range(lat.w)) for y in range(lat.h)
     )
     return PeriodicColoring(lat, rows, F.tokens)
-
-
-def shift_half_plane(
-    W: WindowColoring, o: Orientation, cut_index: int, t: int
-) -> WindowColoring:
-    """Slide the cells with diagonal index > cut_index by t steps.
-
-    Cells whose source falls outside the window become masked; the rest
-    of the window is untouched. Breaks one period on purpose, so the
-    result is only usable through interior verification.
-    """
-    g = DIAGONAL_STEP[o]
-    rows = []
-    for r in range(W.height):
-        row = []
-        for c in range(W.width):
-            v = (W.origin[0] + c, W.origin[1] + r)
-            if diagonal_index(o, v) > cut_index:
-                row.append(W.get((v[0] - t * g[0], v[1] - t * g[1])))
-            else:
-                row.append(W.get(v))
-        rows.append(tuple(row))
-    return WindowColoring(W.origin, W.width, W.height, tuple(rows))

@@ -100,14 +100,6 @@ class GridAutomorphism:
         px, py = mat_apply(self.point, v)
         return (px + self.shift[0], py + self.shift[1])
 
-    def compose(self, other: GridAutomorphism) -> GridAutomorphism:
-        # (self . other)(v) = self(other(v))
-        shift = mat_apply(self.point, other.shift)
-        return GridAutomorphism(
-            mat_mul(self.point, other.point),
-            (shift[0] + self.shift[0], shift[1] + self.shift[1]),
-        )
-
     def inverse(self) -> GridAutomorphism:
         inv = mat_inv(self.point)
         sx, sy = mat_apply(inv, self.shift)

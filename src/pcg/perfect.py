@@ -10,9 +10,9 @@ walk counts, the stationary vector, and the parity refinement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Union
 
-from .coloring import Lattice, PeriodicColoring, WindowColoring, _block
+from .coloring import Lattice, PeriodicColoring, Rows, _block
 from .grid import Vec2, parity
 
 if TYPE_CHECKING:
@@ -27,7 +27,7 @@ class Violation:
 
     node: Vec2
     color: int
-    expected: Optional[tuple[int, ...]]  # row of S, or None if no row applies
+    expected: tuple[int, ...]  # row of S
     observed: tuple[int, int, int, int]  # sorted colors of the 4 neighbors
 
 
@@ -54,7 +54,7 @@ def _counts(colors: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _stars(cells: Sequence[Sequence[Any]]) -> Iterator[tuple[Any, ...]]:
+def _stars(cells: Rows) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
     """Row-major (x, y, color, neighbor colors) of the block's interior cells."""
     for y, (up, row, down) in enumerate(zip(cells, cells[1:], cells[2:]), 1):
         cols = zip(row, row[1:], row[2:], down[1:], up[1:])
@@ -194,25 +194,3 @@ def refine_bipartite(F: PeriodicColoring) -> PeriodicColoring:
     if len(set(tokens)) != len(tokens):  # token clash, e.g. "1_e" already taken
         tokens = [str(i) for i in range(1, len(tokens) + 1)]
     return PeriodicColoring(base.lattice, tuple(rows), tuple(tokens))
-
-
-def verify_window(W: WindowColoring, S: QuotientMatrix) -> tuple[Violation, ...]:
-    """All interior nodes of W whose neighborhood contradicts S.
-
-    A node counts as interior when itself and all 4 neighbors are
-    inside the window and unmasked.
-    """
-    if W.width < 3 or W.height < 3:
-        raise ValueError("window must be at least 3x3")
-    n = len(S)
-    out = []
-    for x, y, c, around in _stars(W.cells):
-        if c is None or None in around:
-            continue
-        observed = tuple(sorted(around))
-        m = max(n, observed[-1])
-        want = tuple(S[c - 1]) + (0,) * (m - n) if c <= n else None
-        if want != _counts(observed, m):
-            v = (W.origin[0] + x, W.origin[1] + y)
-            out.append(Violation(node=v, color=c, expected=want, observed=observed))
-    return tuple(out)

@@ -76,7 +76,7 @@ class ClassificationReport:
             else {
                 "node": list(v.node),
                 "color": toks[v.color - 1],
-                "expected": list(v.expected) if v.expected is not None else None,
+                "expected": list(v.expected),
                 "observed": [toks[c - 1] for c in v.observed],
             },
             "quotient": [list(r) for r in self.quotient] if self.quotient else None,

@@ -6,18 +6,18 @@ relabel that defines the canonical form and the search's
 `_first_occurrence` key, full-scan versions of the
 translation kernels in pcg.coloring, a canonical form that scans every
 D4 image in full, cell-by-cell versions of every shifted or rotated
-read of a coloring (translate, transform, rebase, window, the
+read of a coloring (translate, transform, rebase, the block kernel, the
 perfectness check from each cell's sorted neighbor colors, and the
-stabilizer), a node-by-node window check, and
+stabilizer), the product of two grid automorphisms, and
 a union-find over the stabilizer's moves for the orbits and the orbit
 report."""
 
 import itertools
 from typing import Iterator, Optional, Sequence, TypeVar, Union
 
-from pcg.coloring import Lattice, PeriodicColoring, WindowColoring, _text, canonical
+from pcg.coloring import Lattice, PeriodicColoring, _text, canonical
 from pcg.coloring import parse
-from pcg.grid import GridAutomorphism, Vec2, d4_elements, neighbors
+from pcg.grid import GridAutomorphism, Vec2, d4_elements, mat_apply, mat_mul, neighbors
 from pcg.orbits import OrbitReport, StabilizerGroup, stabilizer
 from pcg.perfect import QuotientMatrix, Violation, _counts, check
 from pcg.search import SearchSpec, matrices_conjugate
@@ -187,16 +187,16 @@ def brute_rebase(F: PeriodicColoring, lat: Lattice) -> PeriodicColoring:
     return PeriodicColoring(lat, rows, F.tokens)
 
 
-def brute_window(
+def brute_block(
     F: PeriodicColoring, origin: Vec2, width: int, height: int
-) -> WindowColoring:
-    """The same answer as F.window(...), read cell by cell with color_at."""
+) -> tuple[tuple[int, ...], ...]:
+    """The same answer as _block(F.rows, F.lattice, *origin, width, height),
+    read cell by cell with color_at."""
     ox, oy = origin
-    cells = tuple(
+    return tuple(
         tuple(F.color_at((ox + c, oy + r)) for c in range(width))
         for r in range(height)
     )
-    return WindowColoring(origin, width, height, cells)
 
 
 def profile(F: PeriodicColoring, v: Vec2) -> tuple[int, int, int, int]:
@@ -216,6 +216,14 @@ def brute_check(F: PeriodicColoring) -> Union[QuotientMatrix, Violation]:
     return tuple(_counts(seen[i], F.n) for i in range(1, F.n + 1))
 
 
+def compose(a: GridAutomorphism, b: GridAutomorphism) -> GridAutomorphism:
+    """The grid automorphism v -> a(b(v))."""
+    sx, sy = mat_apply(a.point, b.shift)
+    return GridAutomorphism(
+        mat_mul(a.point, b.point), (sx + a.shift[0], sy + a.shift[1])
+    )
+
+
 def brute_stabilizer(F: PeriodicColoring) -> StabilizerGroup:
     """The same group as stabilizer(F), testing every (g, t) on every cell."""
     lat = brute_maximal_periods(F)
@@ -231,29 +239,6 @@ def brute_stabilizer(F: PeriodicColoring) -> StabilizerGroup:
                 elements.append(aut)
     elements.sort(key=lambda a: (a.point, a.shift))
     return StabilizerGroup(lat, tuple(elements))
-
-
-def brute_verify_window(
-    W: WindowColoring, S: QuotientMatrix
-) -> tuple[Violation, ...]:
-    """The same answer as verify_window(W, S), asking W.get for every node."""
-    if W.width < 3 or W.height < 3:
-        raise ValueError("window must be at least 3x3")
-    n = len(S)
-    out = []
-    for v in W.nodes():
-        c = W.get(v)
-        if c is None:
-            continue
-        around = [W.get(u) for u in neighbors(v)]
-        if any(a is None for a in around):
-            continue
-        observed = tuple(sorted(around))
-        m = max(n, observed[-1])
-        want = tuple(S[c - 1]) + (0,) * (m - n) if c <= n else None
-        if want != _counts(observed, m):
-            out.append(Violation(node=v, color=c, expected=want, observed=observed))
-    return tuple(out)
 
 
 def brute_orbits(F: PeriodicColoring) -> tuple[tuple[Vec2, ...], ...]:

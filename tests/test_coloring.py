@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from pcg import fixtures
 from pcg.coloring import (
     CACHE_SIZE,
+    _block,
     _least_images,
     _least_translation,
     Lattice,
@@ -25,6 +26,7 @@ from pcg.perfect import check
 
 from oracle import (
     brute_canonical,
+    brute_block,
     brute_check,
     brute_least_translation,
     brute_maximal_periods,
@@ -32,7 +34,6 @@ from oracle import (
     brute_stabilizer,
     brute_transform,
     brute_translate,
-    brute_window,
     first_occurrence,
 )
 
@@ -303,18 +304,6 @@ def test_rebase_requires_periods():
     assert all(G.color_at(v) == F.color_at(v) for v in G.lattice.domain())
 
 
-def test_window_contents_and_mask():
-    F = fixtures.checkerboard()
-    W = F.window((0, 0), 3, 2)
-    assert W.get((0, 0)) == F.color_at((0, 0))
-    assert W.get((2, 1)) == F.color_at((2, 1))
-    assert W.get((3, 0)) is None
-    assert len(list(W.nodes())) == 6
-    for width, height in [(0, 2), (2, 0), (-1, 3), (3, -2)]:
-        with pytest.raises(ValueError, match="at least 1x1"):
-            F.window((1, -1), width, height)
-
-
 # maximal periods and canonical forms
 
 
@@ -371,7 +360,9 @@ def test_translation_kernels_match_full_scans(block, data):
     assert F.translate(t) == brute_translate(F, t)
     side = st.integers(1, 2 * max(lat.w, lat.h) + 3)
     width, height = data.draw(side), data.draw(side)
-    assert F.window(origin, width, height) == brute_window(F, origin, width, height)
+    assert _block(F.rows, lat, *origin, width, height) == brute_block(
+        F, origin, width, height
+    )
     assert check(F) == brute_check(F)
     (w, _), (s, h) = lat.basis
     i, j, k = (data.draw(st.integers(lo, 3)) for lo in (1, 1, 0))

@@ -14,13 +14,11 @@ from pcg.diagonals import (
     find_special_diagonals,
     kind_of,
     residue_modulus,
-    shift_half_plane,
     shift_residue_class,
 )
 from pcg.grid import DIAGONAL_STEP, Orientation, diagonal_index
-from pcg.perfect import Violation, check, quotient, verify_window
+from pcg.perfect import Violation, check, quotient
 from pcg.search import matrices_conjugate
-from pcg.twins import merge
 
 from test_coloring import colorings
 
@@ -221,54 +219,3 @@ def test_shift_whole_orientation_is_a_translation(F, o, t):
     G = shift_residue_class(F, o, 0, 1, t)
     g = DIAGONAL_STEP[o]
     assert G == F.translate((t * g[0], t * g[1]))
-
-
-# half-plane shifts on windows
-
-
-def test_half_plane_t0_is_identity():
-    W = fixtures.get("c").window((-3, -3), 7, 7)
-    for o in Orientation:
-        assert shift_half_plane(W, o, 0, 0) == W
-
-
-def test_half_plane_masks_unsourced_cells():
-    W = fixtures.checkerboard().window((0, 0), 5, 5)
-    G = shift_half_plane(W, Orientation.RIGHT, 0, 1)
-    # (4, 0) has index 4 > 0; its source (3, -1) is outside the window
-    assert G.get((4, 0)) is None
-    assert G.get((0, 4)) == W.get((0, 4))
-
-
-def test_half_plane_shift_of_one_color_diagonals_changes_nothing():
-    # both checkerboard orientations have constant diagonals, so the
-    # shifted cells reproduce their own colors wherever the source exists
-    F = fixtures.checkerboard()
-    S = quotient(F)
-    W = F.window((-5, -5), 11, 11)
-    G = shift_half_plane(W, Orientation.RIGHT, 0, 1)
-    for v in G.nodes():
-        if G.get(v) is not None:
-            assert G.get(v) == W.get(v)
-    assert verify_window(G, S) == ()
-
-
-def test_half_plane_shift_of_merged_case_stays_perfect():
-    # the 3-color merge has alternating 12-diagonals with equal rows in
-    # S, so cutting the plane and sliding one side is still perfect
-    M = merge(fixtures.get("II-base"), 1, 2)
-    S = quotient(M)
-    W = M.window((-6, -6), 13, 13)
-    for o in Orientation:
-        assert verify_window(shift_half_plane(W, o, 0, 1), S) == ()
-
-
-def test_half_plane_seam_violations_on_rigid_stripes():
-    # three stripes have no special diagonals at all: the seam shows
-    F = fixtures.stripes(3)
-    S = quotient(F)
-    W = F.window((-6, -6), 13, 13)
-    for o in Orientation:
-        bad = verify_window(shift_half_plane(W, o, 0, 1), S)
-        assert bad
-        assert all(diagonal_index(o, v.node) in (0, 1) for v in bad)

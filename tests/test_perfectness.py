@@ -5,10 +5,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pcg import fixtures
-from pcg.coloring import Lattice, WindowColoring, parse
+from pcg.coloring import Lattice, parse
 from pcg.grid import parity
 from pcg.perfect import (
     DetailedBalanceError,
@@ -21,10 +20,9 @@ from pcg.perfect import (
     quotient,
     refine_bipartite,
     stationary,
-    verify_window,
 )
 
-from oracle import brute_verify_window, profile
+from oracle import profile
 from test_coloring import colorings
 
 
@@ -207,48 +205,3 @@ def test_refine_bipartite_always_bipartite_and_refines(F):
     for v in R.lattice.domain():
         back.setdefault(R.color_at(v), set()).add(F.color_at(v))
     assert all(len(s) == 1 for s in back.values())
-
-
-def test_verify_window_clean_on_perfect_interior():
-    F = fixtures.get("c")
-    S = quotient(F)
-    W = F.window((0, 0), 8, 8)
-    assert verify_window(W, S) == ()
-
-
-def test_verify_window_flags_a_planted_defect():
-    F = fixtures.checkerboard()
-    S = quotient(F)
-    cells = [[F.color_at((x, y)) for x in range(6)] for y in range(6)]
-    cells[2][3] = cells[2][3] % 2 + 1  # flip one interior cell
-    W = WindowColoring((0, 0), 6, 6, tuple(tuple(r) for r in cells))
-    bad = verify_window(W, S)
-    assert bad
-    assert any(v.node == (3, 2) for v in bad)
-
-
-@pytest.mark.parametrize("bad", [0, -1, "2"])
-def test_window_rejects_cells_that_are_not_colors(bad):
-    # verify_window would read color 0 as color n through S[c - 1]: a
-    # checkerboard with every 2 replaced by 0 would verify clean
-    W = fixtures.checkerboard().window((0, 0), 4, 4)
-    cells = tuple(tuple(bad if c == 2 else c for c in row) for row in W.cells)
-    with pytest.raises(ValueError):
-        WindowColoring(W.origin, W.width, W.height, cells)
-
-
-@given(st.sampled_from(fixtures.fixture_ids()), st.data())
-@settings(max_examples=80, deadline=None)
-def test_verify_window_matches_node_by_node(fid, data):
-    F = fixtures.get(fid)
-    S = quotient(F)
-    at, side = st.integers(-20, 20), st.integers(3, 12)
-    W = F.window((data.draw(at), data.draw(at)), data.draw(side), data.draw(side))
-    size = W.width * W.height
-    # about one cell in eight is masked
-    keep = iter(data.draw(st.lists(st.integers(0, 7), min_size=size, max_size=size)))
-    cells = tuple(tuple(c if next(keep) else None for c in row) for row in W.cells)
-    W = WindowColoring(W.origin, W.width, W.height, cells)
-    assert verify_window(W, S) == brute_verify_window(W, S) == ()
-    wrong = tuple(row[::-1] for row in S)
-    assert verify_window(W, wrong) == brute_verify_window(W, wrong)

@@ -1,12 +1,15 @@
 """The runtime is pure standard library: nothing under src/pcg imports
 a module from outside it or the package itself, and no module imports a
-name it never uses."""
+name it never uses. The package exports exactly the names its
+`__init__` imports."""
 
 import ast
 import sys
 from pathlib import Path
 
 import pytest
+
+import pcg
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pcg"
 
@@ -52,3 +55,17 @@ def _unused_imports(path: Path) -> set[str]:
 def test_every_import_is_used(path):
     unused = _unused_imports(path)
     assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
+
+
+def test_public_names_are_the_package_imports():
+    # `__init__` imports only to export, so a stale `__all__` entry or a
+    # name imported and never exported shows here
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = [
+        a.asname or a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    ]
+    assert sorted(pcg.__all__) == sorted(imported)
+    assert all(hasattr(pcg, name) for name in pcg.__all__)

@@ -11,12 +11,13 @@ For each workload and seed the checkouts run in turn, the first of one
 seed last in the next, so a drift in host speed falls on all alike.
 
 BENCH_<label>.json, written to --out-dir, holds the checkout's git
-revision, the Python version, nproc, the CPU model and every run: its
-workload and seed, run.py's context line and its last line, the result,
-and ``calibration_s``, the time of a fixed pure-Python loop taken just
-before the run. Runs within one file compare as they are; to compare
-files recorded on different days, scale each by its calibration_s.
-Standard library only.
+revision, ``src_lines`` (the lines of its src/pcg/*.py, counted as
+perfbench/run.py counts them), the Python version, nproc, the CPU model
+and every run: its workload and seed, run.py's context line and its last
+line, the result, and ``calibration_s``, the time of a fixed pure-Python
+loop taken just before the run. Runs within one file compare as they
+are; to compare files recorded on different days, scale each by its
+calibration_s. Standard library only.
 """
 
 from __future__ import annotations
@@ -44,6 +45,12 @@ def revision(root: Path) -> str | None:
     except (OSError, subprocess.CalledProcessError):
         return None
     return rev + ("+dirty" if dirty.strip() else "")
+
+
+def src_lines(root: Path) -> int:
+    """Lines of the checkout's src/pcg/*.py, counted as perfbench/run.py does."""
+    return sum(len(p.read_text(encoding="utf-8").splitlines())
+               for p in sorted((root / "src" / "pcg").glob("*.py")))
 
 
 def cpu_model() -> str:
@@ -109,6 +116,7 @@ def main(argv: list[str] | None = None) -> int:
         records[label] = (root, {
             "label": label,
             "revision": revision(root),
+            "src_lines": src_lines(root),
             "python": platform.python_version(),
             "nproc": len(os.sched_getaffinity(0)),
             "cpu": cpu_model(),
