@@ -30,11 +30,12 @@ Rows = Sequence[Sequence[int]]
 
 # Entries kept by each of the three memos, which serve the repeats that
 # callers make: `maximal_periods` (a classification asks for one coloring's
-# periods from several analyses), `_least_images` (the colorings of a sweep
+# periods from several analyses), `_d4_images` (the colorings of a sweep
 # share few lattices) and the search's per-D4-class answers (a sweep meets
 # each class under several of its lattices). Bounded, so a long sweep does
 # not keep every coloring it has seen alive.
 CACHE_SIZE = 1024
+_D4 = d4_elements()  # the point maps, in the order of every `_d4_images` table
 
 TOKEN_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _HEADER = "# pcg v1"
@@ -315,8 +316,8 @@ def _image(
 ) -> tuple[tuple[int, ...], ...]:
     """The fundamental domain of v -> F(aut^-1(v)) on `image_lattice`.
 
-    `rows` is the fundamental domain of F on `lattice`, and `image_lattice`
-    is ``lattice.transform(aut.point)``.
+    `rows` is F on `lattice`, any of its period lattices, and
+    `image_lattice` is any period lattice of the image.
     """
     inv = aut.inverse()
     # the image block shows the box between the images of its corners,
@@ -362,12 +363,12 @@ def maximal_periods(F: PeriodicColoring) -> Lattice:
 
 
 def _least_translation(
-    flat: Sequence[int], lattice: Lattice, symbols: Sequence[str]
+    rows: Rows, lattice: Lattice, symbols: Sequence[str]
 ) -> tuple[str, ...]:
     """Least first-occurrence relabeling of a cell block over torus translations.
 
-    `flat` holds the colors 1..n (n <= len(symbols)) of the fundamental
-    domain of `lattice`, row-major. Each translation of the torus is read
+    `rows` holds the colors 1..n (n <= len(symbols)) of the fundamental
+    domain of `lattice`. Each translation of the torus is read
     row-major with its k-th new color (counting from 0) written as
     ``symbols[k]``; the least of the resulting tuples is returned.
     `symbols` are the padded ids of `canonical`, so symbols[0] < symbols[1].
@@ -383,7 +384,6 @@ def _least_translation(
     over the full tuples.
     """
     w, h = lattice.w, lattice.h
-    rows = [flat[i : i + w] for i in range(0, h * w, w)]
     around = _block(rows, lattice, 0, -h, 2 * w, 2 * h)
     # the first row of candidate (tx, ty) is around[h - ty] from column w - tx;
     # one backward pass gives the run of equal colors from every column
@@ -444,28 +444,29 @@ def canonical(F: PeriodicColoring) -> str:
     text is least are read and scanned, and among them the least
     `_least_translation` tuple wins.
     """
-    lat = maximal_periods(F)
-    base = F.rebase(lat)
-    least, auts = _least_images(lat)
-    width = len(str(base.n))
+    least = min(_d4_images(maximal_periods(F)), key=_periods_line)
+    width = len(str(F.n))
     # Padded ids order like the rendered text ("1 " < "10" < "2 "); ints
     # would not once there are ten colors.
-    symbols = tuple(str(i).ljust(width) for i in range(1, base.n + 1))
-    keys = []
-    for aut in auts:
-        rows = _image(base.rows, lat, least, aut)
-        flat = [c for row in rows for c in row]
-        keys.append(_least_translation(flat, least, symbols))
-    return _text(least, min(keys))
+    symbols = tuple(str(i).ljust(width) for i in range(1, F.n + 1))
+    images = _images_onto(F, least)
+    return _text(least, min(_least_translation(r, least, symbols) for _, r in images))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _least_images(lat: Lattice) -> tuple[Lattice, tuple[GridAutomorphism, ...]]:
-    """The D4 image of `lat` with the least periods line, and the point
-    maps that carry `lat` onto it."""
-    images = [(g, lat.transform(g)) for g in d4_elements()]
-    least = min((L for _, L in images), key=_periods_line)
-    return least, tuple(GridAutomorphism(g, (0, 0)) for g, L in images if L == least)
+def _d4_images(lat: Lattice) -> tuple[Lattice, ...]:
+    """The image of `lat` under each point map of `_D4`, in that order."""
+    return tuple(lat.transform(g) for g in _D4)
+
+
+def _images_onto(
+    F: PeriodicColoring, target: Lattice
+) -> Iterator[tuple[Mat2, tuple[tuple[int, ...], ...]]]:
+    """Each point map that carries F's maximal lattice onto `target`, in
+    `d4_elements` order, with the fundamental domain of F's image there."""
+    for g, image in zip(_D4, _d4_images(maximal_periods(F))):
+        if image == target:
+            yield g, _image(F.rows, F.lattice, target, GridAutomorphism(g, (0, 0)))
 
 
 def equivalent(F: PeriodicColoring, G: PeriodicColoring) -> bool:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .coloring import Lattice, PeriodicColoring, maximal_periods
-from .coloring import _image, translations
-from .grid import GridAutomorphism, Vec2, d4_elements, mat_apply
+from .coloring import _images_onto, translations
+from .grid import GridAutomorphism, Vec2
 
 
 @dataclass(frozen=True)
@@ -36,19 +36,16 @@ class StabilizerGroup:
 def stabilizer(F: PeriodicColoring) -> StabilizerGroup:
     """All (point, shift mod periods) fixing F: a group by construction.
 
-    On the maximal lattice only the zero domain shift is a period, so each
-    point map g keeps at most one shift, and the order is at most 8.
-    g preserves the lattice when it maps the basis into it: g is
-    orthogonal, so gL, inside L and of the same index, is L.
+    On the maximal lattice L only the zero domain shift is a period, so
+    each g with gL = L keeps at most one shift, and the order is at most 8.
     """
     lat = maximal_periods(F)
-    base = F.rebase(lat)
+    images = list(_images_onto(F, lat))
+    base = images[0][1]  # the identity's: F on the maximal lattice
     elements = []
-    for g in d4_elements():
-        if all(lat.contains(mat_apply(g, b)) for b in lat.basis):
-            image = _image(base.rows, lat, lat, GridAutomorphism(g, (0, 0)))
-            for t in translations(image, base.rows, lat):
-                elements.append(GridAutomorphism(g, t))
+    for g, image in images:
+        for t in translations(image, base, lat):
+            elements.append(GridAutomorphism(g, t))
     elements.sort(key=lambda a: (a.point, a.shift))
     return StabilizerGroup(lat, tuple(elements))
 

@@ -60,7 +60,8 @@ from operator import gt, itemgetter, le
 from typing import Optional
 
 from .coloring import CACHE_SIZE, Lattice, PeriodicColoring, _block, canonical, parse
-from .grid import d4_elements, neighbors
+from .coloring import _d4_images
+from .grid import neighbors
 from .perfect import QuotientMatrix
 
 
@@ -423,7 +424,7 @@ _memo: dict[SearchSpec, tuple[PeriodicColoring, ...]] = {}
 
 def _d4_representative(spec: SearchSpec) -> SearchSpec:
     """`spec` on the least lattice of its orbit under the point group D4."""
-    lattice = min(spec.lattice.transform(g) for g in d4_elements())
+    lattice = min(_d4_images(spec.lattice))
     return replace(spec, lattice=lattice)
 
 

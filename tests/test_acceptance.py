@@ -9,8 +9,6 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
-import pytest
-
 from pcg import fixtures
 from pcg.coloring import Lattice, maximal_periods
 from pcg.diagonals import diagonal_classes, find_special_diagonals, shift_residue_class

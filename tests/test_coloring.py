@@ -8,7 +8,7 @@ from pcg import fixtures
 from pcg.coloring import (
     CACHE_SIZE,
     _block,
-    _least_images,
+    _d4_images,
     _least_translation,
     Lattice,
     PcgParseError,
@@ -340,29 +340,32 @@ def test_maximal_periods_contains_declared_lattice(F):
 @settings(max_examples=150)
 def test_translation_kernels_match_full_scans(block, data):
     flat, lat = data.draw(block)
+    F = PeriodicColoring(lat, _rows(flat, lat))
+    # first, since every later kernel reads through _block: a fault here is
+    # reported before the shrinker works through the others' failures. The
+    # translation kernels read two periods from row -h, across a period row.
+    side = st.integers(1, 2 * max(lat.w, lat.h) + 3)
+    drawn = data.draw(vecs), data.draw(side), data.draw(side)
+    for origin, width, height in ((0, -lat.h), 2 * lat.w, 2 * lat.h), drawn:
+        assert _block(F.rows, lat, *origin, width, height) == brute_block(
+            F, origin, width, height
+        )
     n = max(flat)
-    width = len(str(n))
     # the padded ids that canonical passes
-    symbols = tuple(str(i).ljust(width) for i in range(1, n + 1))
-    assert _least_translation(flat, lat, symbols) == brute_least_translation(
+    symbols = tuple(str(i).ljust(len(str(n))) for i in range(1, n + 1))
+    assert _least_translation(F.rows, lat, symbols) == brute_least_translation(
         flat, lat, symbols
     )
-    F = PeriodicColoring(lat, _rows(flat, lat))
     # past the cache, so every example runs the kernel
     assert maximal_periods.__wrapped__(F) == brute_maximal_periods(F)
-    # list rows, as _least_translation hands them to _block, must match tuple rows
+    # list rows, like the ranges the search hands to _block, must match tuple rows
     lists = [list(row) for row in F.rows]
     periods = [t for t in lat.domain() if brute_translate(F, t) == F]
     assert list(translations(lists, F.rows, lat)) == periods
     # every shifted or rotated read of F against its cell-by-cell version
-    aut, t, origin = data.draw(auts), data.draw(vecs), data.draw(vecs)
+    aut, t = data.draw(auts), data.draw(vecs)
     assert F.transform(aut) == brute_transform(F, aut)
     assert F.translate(t) == brute_translate(F, t)
-    side = st.integers(1, 2 * max(lat.w, lat.h) + 3)
-    width, height = data.draw(side), data.draw(side)
-    assert _block(F.rows, lat, *origin, width, height) == brute_block(
-        F, origin, width, height
-    )
     assert check(F) == brute_check(F)
     (w, _), (s, h) = lat.basis
     i, j, k = (data.draw(st.integers(lo, 3)) for lo in (1, 1, 0))
@@ -466,7 +469,7 @@ def test_equivalent_separates_different_colorings():
 
 @pytest.mark.parametrize(
     "fn",
-    [_least_images, maximal_periods],
+    [_d4_images, maximal_periods],
     ids=lambda fn: fn.__name__,
 )
 def test_analysis_caches_are_bounded(fn):

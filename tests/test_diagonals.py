@@ -5,9 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcg import fixtures
-from pcg.coloring import maximal_periods
 from pcg.diagonals import (
-    DiagonalClass,
     ShiftCompatibilityError,
     diagonal_classes,
     diagonal_sequence,

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 
 import pcg.orbits
 from pcg import fixtures
-from pcg.coloring import Lattice, maximal_periods
+from pcg.coloring import Lattice, PeriodicColoring, maximal_periods
 from pcg.grid import GridAutomorphism, IDENTITY, d4_elements
 from pcg.orbits import (
     orbit_report,
     orbits,
     stabilizer,
 )
+from pcg.report import classify
 
 from oracle import brute_orbit_report, brute_orbits, brute_stabilizer, compose
 from test_coloring import colorings
@@ -155,6 +156,20 @@ def test_orbit_report_builds_the_stabilizer_once(monkeypatch):
     F = fixtures.get("8-150-2")
     assert orbit_report(F).stabilizer_order == 2
     assert built == [F]
+
+
+def test_classify_reads_the_declared_domain_without_rebasing(monkeypatch):
+    # II-base is declared on (4,0) (0,4); its maximal lattice is coarser, and
+    # canonical and the stabilizer read its D4 images off the declared domain
+    calls = []
+    rebase = PeriodicColoring.rebase
+    monkeypatch.setattr(
+        PeriodicColoring, "rebase", lambda F, L: calls.append(L) or rebase(F, L)
+    )
+    F = fixtures.get("II-base")
+    assert F.lattice == Lattice(4, 0, 4) and maximal_periods(F) == Lattice(4, 2, 2)
+    classify(F).to_json_dict()
+    assert calls == []
 
 
 @given(colorings())

@@ -1,7 +1,7 @@
 """The runtime is pure standard library: nothing under src/pcg imports
-a module from outside it or the package itself, and no module imports a
-name it never uses. The package exports exactly the names its
-`__init__` imports."""
+a module from outside it or the package itself, and no module or test
+file imports a name it never uses. The package exports exactly the names
+its `__init__` imports."""
 
 import ast
 import sys
@@ -11,7 +11,8 @@ import pytest
 
 import pcg
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "pcg"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "pcg"
 
 
 def _imported_modules(path: Path) -> set[str]:
@@ -49,8 +50,9 @@ def _unused_imports(path: Path) -> set[str]:
 
 @pytest.mark.parametrize(
     "path",
-    sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
-    ids=lambda p: p.name,
+    sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}",
 )
 def test_every_import_is_used(path):
     unused = _unused_imports(path)
