@@ -463,7 +463,7 @@ def _images_onto(
     F: PeriodicColoring, target: Lattice
 ) -> Iterator[tuple[Mat2, tuple[tuple[int, ...], ...]]]:
     """Each point map that carries F's maximal lattice onto `target`, in
-    `d4_elements` order, with the fundamental domain of F's image there."""
+    `_D4` order, with the fundamental domain of F's image there."""
     for g, image in zip(_D4, _d4_images(maximal_periods(F))):
         if image == target:
             yield g, _image(F.rows, F.lattice, target, GridAutomorphism(g, (0, 0)))
