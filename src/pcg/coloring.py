@@ -21,19 +21,19 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .grid import GridAutomorphism, Mat2, Vec2, d4_elements, mat_apply
 
 Rows = Sequence[Sequence[int]]
 
-# Entries kept by each of the three memos, which serve the repeats that
-# callers make: `maximal_periods` (a classification asks for one coloring's
-# periods from several analyses), `_d4_images` (the colorings of a sweep
-# share few lattices) and the search's per-D4-class answers (a sweep meets
-# each class under several of its lattices). Bounded, so a long sweep does
-# not keep every coloring it has seen alive.
+# Entries kept by each of the two memos, which serve the repeats that
+# callers make: `_d4_images` (the colorings of a sweep share few lattices)
+# and the search's per-D4-class answers (a sweep meets each class under
+# several of its lattices). Bounded, so a long sweep does not keep all it
+# has seen alive. A coloring's maximal lattice is no memo: the coloring
+# keeps it, and it goes when the coloring does.
 CACHE_SIZE = 1024
 _D4 = d4_elements()  # the point maps, in the order of every `_d4_images` table
 
@@ -64,7 +64,7 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Lattice:
     """A rank-2 sublattice of Z^2 in Hermite normal form.
 
@@ -163,6 +163,12 @@ class PeriodicColoring:
     @property
     def n(self) -> int:
         return len(self.tokens)
+
+    @cached_property
+    def _maximal(self) -> Lattice:
+        """`maximal_periods`, computed on first read and kept in the instance."""
+        lat = self.lattice
+        return Lattice.from_vectors(*lat.basis, *translations(self.rows, self.rows, lat))
 
     def color_at(self, v: Vec2) -> int:
         x, y = v
@@ -351,15 +357,14 @@ def translations(src: Rows, dst: Rows, lattice: Lattice) -> Iterator[Vec2]:
                 yield (tx, ty)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def maximal_periods(F: PeriodicColoring) -> Lattice:
     """The lattice of ALL translations fixing F; contains F.lattice.
 
     Every period is congruent mod F.lattice to a fundamental-domain
-    vector, so testing the domain representatives finds them all.
+    vector, so testing the domain representatives finds them all. F
+    computes it on the first call and keeps it.
     """
-    lat = F.lattice
-    return Lattice.from_vectors(*lat.basis, *translations(F.rows, F.rows, lat))
+    return F._maximal
 
 
 def _least_translation(
@@ -470,4 +475,7 @@ def _images_onto(
 
 
 def equivalent(F: PeriodicColoring, G: PeriodicColoring) -> bool:
+    # color count and maximal index are invariants, and cost no canonical form
+    if F.n != G.n or maximal_periods(F).index != maximal_periods(G).index:
+        return False
     return canonical(F) == canonical(G)
