@@ -1,9 +1,17 @@
 """Lattices, the PCG text format, and coloring normal forms."""
 
+import copy
+import dataclasses
+import gc
+import pickle
+import random
+import weakref
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pcg.coloring
 from pcg import fixtures
 from pcg.coloring import (
     CACHE_SIZE,
@@ -23,7 +31,9 @@ from pcg.coloring import (
 from pcg.grid import GridAutomorphism, d4_elements
 from pcg.orbits import stabilizer
 from pcg.perfect import check
+from pcg.report import classify
 
+from conftest import _lattices_up_to_index
 from oracle import (
     brute_canonical,
     brute_block,
@@ -467,7 +477,91 @@ def test_equivalent_separates_different_colorings():
     assert equivalent(fixtures.stripes(2), fixtures.checkerboard()) is False
 
 
+def test_equivalent_agrees_with_canonical_forms(corpus):
+    # each fixture also rotated and moved, so that equal forms are not all
+    # identical colorings
+    turn = GridAutomorphism(((0, -1), (1, 0)), (1, 2))
+    pool = [*corpus.values(), *(F.transform(turn) for F in corpus.values())]
+    forms = [canonical(F) for F in pool]
+    for F, f in zip(pool, forms):
+        for G, g in zip(pool, forms):
+            assert equivalent(F, G) == (f == g)
+
+
+def test_equivalent_separates_by_invariants_without_canonical_forms(monkeypatch):
+    def boom(F):
+        raise AssertionError("computed a canonical form")
+
+    monkeypatch.setattr(pcg.coloring, "canonical", boom)
+    # 3 colors against 4, then 8 colors on maximal lattices of index 8 and 16
+    assert equivalent(fixtures.get("3-17-2"), fixtures.get("II-base")) is False
+    assert equivalent(fixtures.get("h"), fixtures.get("i")) is False
+
+
 @pytest.mark.parametrize("fn", [_d4_images], ids=lambda fn: fn.__name__)
 def test_analysis_caches_are_bounded(fn):
     # an unbounded cache would keep every lattice of a long sweep alive
     assert fn.cache_info().maxsize == CACHE_SIZE
+
+
+def _random_torus():
+    rng = random.Random(30)
+    cells = [rng.randint(1, 3) for _ in range(900)]
+    cells[:3] = 1, 2, 3
+    return PeriodicColoring(Lattice(30, 0, 30), _rows(cells, Lattice(30, 0, 30)))
+
+
+def _rescaled_fixture():
+    F = fixtures.get("8-150-2")
+    (w, _), (s, h) = F.lattice.basis
+    return F.rebase(Lattice(3 * w, 3 * s, 3 * h))
+
+
+@pytest.mark.parametrize(
+    "make", [_random_torus, _rescaled_fixture], ids=["torus", "rescaled"]
+)
+def test_maximal_lattice_lives_and_dies_with_the_coloring(make, monkeypatch):
+    F = make()
+    rows = F.rows  # held here, not F, so the count keeps F alive no longer
+    kernel = []
+
+    def counted(src, dst, lattice):
+        if src is rows and dst is rows:
+            kernel.append(lattice)
+        return translations(src, dst, lattice)
+
+    monkeypatch.setattr(pcg.coloring, "translations", counted)
+    report = classify(F)
+    doc = report.to_json_dict()
+    # every analysis reads one maximal lattice, computed once
+    assert kernel == [F.lattice]
+    assert doc["maximal_periods"] == [list(b) for b in maximal_periods(F).basis]
+    # and nothing outside the coloring keeps the coloring alive
+    alive = weakref.ref(F)
+    del F, report
+    gc.collect()
+    assert alive() is None
+
+
+def test_slotted_lattice_keeps_its_value_semantics():
+    lattices = _lattices_up_to_index(12)
+    for L in lattices:
+        copies = pickle.loads(pickle.dumps(L)), copy.deepcopy(L), dataclasses.replace(L)
+        assert all(type(M) is Lattice and M == L for M in copies)
+    # eq, hash and order are those of the (w, s, h) tuple
+    for L in lattices:
+        t = (L.w, L.s, L.h)
+        assert hash(L) == hash(t)
+        for M in lattices:
+            u = (M.w, M.s, M.h)
+            assert (L == M, L < M, L <= M) == (t == u, t < u, t <= u)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lattices[0].w = 2
+
+
+def test_a_coloring_with_its_maximal_lattice_pickles_back_equal():
+    F = fixtures.get("II-base")
+    assert maximal_periods(F) == Lattice(4, 2, 2)
+    G = pickle.loads(pickle.dumps(F))
+    assert G == F and hash(G) == hash(F)
+    assert maximal_periods(G) == Lattice(4, 2, 2)

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import multiprocessing
 import os
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -226,6 +227,23 @@ def test_jobs_with_no_prefix_start_no_pool(monkeypatch):
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert _enumerate(SearchSpec(Lattice(3, 0, 2), 5), jobs=2) == ()
+
+
+def test_spawned_workers_unpickle_the_spec(monkeypatch):
+    """The pool path is the one that pickles the spec, and so its slotted
+    Lattice; spawn, macOS's default start method, unpickles it in a fresh
+    interpreter."""
+    sp = spec(4, 0, 4, 3)
+    assert pickle.loads(pickle.dumps(sp)) == sp
+    serial = _enumerate(sp, jobs=1)
+    spawn = multiprocessing.get_context("spawn").Pool
+    pools = []
+    monkeypatch.setattr(
+        multiprocessing, "Pool", lambda *a, **kw: pools.append(a) or spawn(*a, **kw)
+    )
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _enumerate(sp, jobs=2) == serial
+    assert len(pools) == 1 and len(serial) == 11
 
 
 def nodes(sp):
