@@ -475,7 +475,4 @@ def _images_onto(
 
 
 def equivalent(F: PeriodicColoring, G: PeriodicColoring) -> bool:
-    # color count and maximal index are invariants, and cost no canonical form
-    if F.n != G.n or maximal_periods(F).index != maximal_periods(G).index:
-        return False
     return canonical(F) == canonical(G)

@@ -477,27 +477,6 @@ def test_equivalent_separates_different_colorings():
     assert equivalent(fixtures.stripes(2), fixtures.checkerboard()) is False
 
 
-def test_equivalent_agrees_with_canonical_forms(corpus):
-    # each fixture also rotated and moved, so that equal forms are not all
-    # identical colorings
-    turn = GridAutomorphism(((0, -1), (1, 0)), (1, 2))
-    pool = [*corpus.values(), *(F.transform(turn) for F in corpus.values())]
-    forms = [canonical(F) for F in pool]
-    for F, f in zip(pool, forms):
-        for G, g in zip(pool, forms):
-            assert equivalent(F, G) == (f == g)
-
-
-def test_equivalent_separates_by_invariants_without_canonical_forms(monkeypatch):
-    def boom(F):
-        raise AssertionError("computed a canonical form")
-
-    monkeypatch.setattr(pcg.coloring, "canonical", boom)
-    # 3 colors against 4, then 8 colors on maximal lattices of index 8 and 16
-    assert equivalent(fixtures.get("3-17-2"), fixtures.get("II-base")) is False
-    assert equivalent(fixtures.get("h"), fixtures.get("i")) is False
-
-
 @pytest.mark.parametrize("fn", [_d4_images], ids=lambda fn: fn.__name__)
 def test_analysis_caches_are_bounded(fn):
     # an unbounded cache would keep every lattice of a long sweep alive
