@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .grid import GridAutomorphism, Mat2, Vec2, d4_elements, mat_apply
+from .grid import Mat2, Vec2, d4_elements, mat_apply
 
 Rows = Sequence[Sequence[int]]
 
@@ -182,40 +182,6 @@ class PeriodicColoring:
             for x, c in enumerate(row):
                 yield (x, y), c
 
-    def translate(self, t: Vec2) -> PeriodicColoring:
-        """The coloring v -> F(v - t) (the picture moved by +t)."""
-        lat = self.lattice
-        rows = _block(self.rows, lat, -t[0], -t[1], lat.w, lat.h)
-        return PeriodicColoring(lat, rows, self.tokens)
-
-    def transform(self, aut: GridAutomorphism) -> PeriodicColoring:
-        """The coloring v -> F(aut^-1(v)); the lattice follows the point part."""
-        lat = self.lattice.transform(aut.point)
-        rows = _image(self.rows, self.lattice, lat, aut)
-        return PeriodicColoring(lat, rows, self.tokens)
-
-    def relabel(self, perm: dict[int, int]) -> PeriodicColoring:
-        """Apply a color permutation; tokens travel with their colors."""
-        n = self.n
-        if sorted(perm) != list(range(1, n + 1)) or sorted(perm.values()) != list(
-            range(1, n + 1)
-        ):
-            raise ValueError("perm must be a bijection on 1..n")
-        rows = tuple(tuple(perm[c] for c in row) for row in self.rows)
-        tokens = [""] * n
-        for old, new in perm.items():
-            tokens[new - 1] = self.tokens[old - 1]
-        return PeriodicColoring(self.lattice, rows, tuple(tokens))
-
-    def rebase(self, lat: Lattice) -> PeriodicColoring:
-        """Re-express on another lattice whose basis vectors are periods."""
-        own = self.lattice
-        for bx, by in lat.basis:
-            if _block(self.rows, own, bx, by, own.w, own.h) != self.rows:
-                raise ValueError(f"({bx},{by}) is not a period of the coloring")
-        rows = _block(self.rows, own, 0, 0, lat.w, lat.h)
-        return PeriodicColoring(lat, rows, self.tokens)
-
 
 def parse(text: str) -> PeriodicColoring:
     """Read PCG text; colors become 1..n in sorted token order.
@@ -318,24 +284,23 @@ def _block(
 
 
 def _image(
-    rows: Rows, lattice: Lattice, image_lattice: Lattice, aut: GridAutomorphism
+    rows: Rows, lattice: Lattice, image_lattice: Lattice, g: Mat2
 ) -> tuple[tuple[int, ...], ...]:
-    """The fundamental domain of v -> F(aut^-1(v)) on `image_lattice`.
+    """The fundamental domain of v -> F(g^-1 v) on `image_lattice`.
 
-    `rows` is F on `lattice`, any of its period lattices, and
-    `image_lattice` is any period lattice of the image.
+    `rows` is F on `lattice`, any of its period lattices, `image_lattice`
+    is any period lattice of the image, and `g` is a point map of `_D4`.
     """
-    inv = aut.inverse()
-    # the image block shows the box between the images of its corners,
-    # transposed if the point part swaps the axes, reversed where it flips
+    # g is a signed permutation, so g^-1 is its transpose ((a, c), (b, d))
+    (a, b), (c, d) = g
+    # the image block shows the box between g^-1 of its corners,
+    # transposed if g swaps the axes, reversed where it flips
     w, h = image_lattice.w, image_lattice.h
-    corners = inv.apply((0, 0)), inv.apply((w - 1, h - 1))
-    (x0, x1), (y0, y1) = (sorted(p) for p in zip(*corners))
-    block = _block(rows, lattice, x0, y0, x1 - x0 + 1, y1 - y0 + 1)
-    (a, b), (c, d) = inv.point
+    ex, ey = a * (w - 1) + c * (h - 1), b * (w - 1) + d * (h - 1)
+    block = _block(rows, lattice, min(ex, 0), min(ey, 0), abs(ex) + 1, abs(ey) + 1)
     if a == 0:
         block = tuple(zip(*block))
-    return tuple(row[:: a + c] for row in block[:: b + d])
+    return tuple(row[:: a + b] for row in block[:: c + d])
 
 
 def translations(src: Rows, dst: Rows, lattice: Lattice) -> Iterator[Vec2]:
@@ -471,7 +436,7 @@ def _images_onto(
     `_D4` order, with the fundamental domain of F's image there."""
     for g, image in zip(_D4, _d4_images(maximal_periods(F))):
         if image == target:
-            yield g, _image(F.rows, F.lattice, target, GridAutomorphism(g, (0, 0)))
+            yield g, _image(F.rows, F.lattice, target, g)
 
 
 def equivalent(F: PeriodicColoring, G: PeriodicColoring) -> bool:

@@ -61,21 +61,6 @@ def mat_mul(a: Mat2, b: Mat2) -> Mat2:
     )
 
 
-def mat_det(m: Mat2) -> int:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
-def mat_inv(m: Mat2) -> Mat2:
-    """Inverse of an integer matrix with determinant +-1."""
-    d = mat_det(m)
-    if d not in (1, -1):
-        raise ValueError(f"matrix with determinant {d} has no integer inverse")
-    return (
-        (m[1][1] // d, -m[0][1] // d),
-        (-m[1][0] // d, m[0][0] // d),
-    )
-
-
 def d4_elements() -> tuple[Mat2, ...]:
     """The eight point symmetries of the grid: rotations, then reflections."""
     r = ((0, -1), (1, 0))
@@ -99,8 +84,3 @@ class GridAutomorphism:
     def apply(self, v: Vec2) -> Vec2:
         px, py = mat_apply(self.point, v)
         return (px + self.shift[0], py + self.shift[1])
-
-    def inverse(self) -> GridAutomorphism:
-        inv = mat_inv(self.point)
-        sx, sy = mat_apply(inv, self.shift)
-        return GridAutomorphism(inv, (-sx, -sy))

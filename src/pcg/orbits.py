@@ -50,18 +50,13 @@ def stabilizer(F: PeriodicColoring) -> StabilizerGroup:
     return StabilizerGroup(lat, tuple(elements))
 
 
-def orbits(F: PeriodicColoring) -> tuple[tuple[Vec2, ...], ...]:
-    """Orbits of the stabilizer on the cells of the maximal-period torus.
+def orbits(group: StabilizerGroup) -> tuple[tuple[Vec2, ...], ...]:
+    """Orbits of `group`, a stabilizer, on the cells of its lattice's torus.
 
     Each orbit is sorted row-major and orbits are listed by their least
-    cell; every orbit is monochromatic, so they always refine colors.
+    cell; every orbit is monochromatic, so they always refine colors. The
+    group is closed, so a cell's images are its orbit.
     """
-    return _orbits(stabilizer(F))
-
-
-def _orbits(group: StabilizerGroup) -> tuple[tuple[Vec2, ...], ...]:
-    """`orbits` of the coloring whose stabilizer is `group`. The group is
-    closed, so a cell's images are its orbit."""
     lat = group.lattice
     seen: set[Vec2] = set()
     out = []
@@ -93,7 +88,7 @@ class OrbitReport:
 def orbit_report(F: PeriodicColoring) -> OrbitReport:
     """Orbit decision plus the first same-color pair no symmetry joins."""
     group = stabilizer(F)
-    parts = _orbits(group)
+    parts = orbits(group)
     # the pair is the least cells of the first two orbits of the least split color
     heads: dict[int, list[Vec2]] = {}
     for orb in parts:

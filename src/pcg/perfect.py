@@ -143,10 +143,11 @@ def stationary(S: QuotientMatrix) -> tuple[Fraction, ...]:
     return tuple(weight[i] / total for i in range(n))
 
 
-def _mixed_colors(F: PeriodicColoring) -> set[int]:
-    """The colors whose domain cells lie on both parity classes."""
+def _mixed_colors(rows: Rows) -> set[int]:
+    """The colors whose cells in `rows`, a block from node (0, 0), lie on
+    both parity classes."""
     even, odd = set(), set()
-    for y, row in enumerate(F.rows):
+    for y, row in enumerate(rows):
         even.update(row[y & 1 :: 2])
         odd.update(row[1 - (y & 1) :: 2])
     return even & odd
@@ -156,7 +157,7 @@ def is_bipartite(F: PeriodicColoring) -> bool:
     """True when each color lives entirely on one parity class."""
     lat = F.lattice
     # an odd-sum period drags every color class across both parities
-    return not ((lat.w & 1) or ((lat.s + lat.h) & 1) or _mixed_colors(F))
+    return not ((lat.w & 1) or ((lat.s + lat.h) & 1) or _mixed_colors(F.rows))
 
 
 def _even_sublattice(lat: Lattice) -> Lattice:
@@ -175,22 +176,23 @@ def refine_bipartite(F: PeriodicColoring) -> PeriodicColoring:
     """
     if is_bipartite(F):
         return F
-    base = F.rebase(_even_sublattice(F.lattice))
+    lat = _even_sublattice(F.lattice)
+    # a sublattice of F's lattice, so F on it is one block of F
+    base = _block(F.rows, F.lattice, 0, 0, lat.w, lat.h)
     mixed = _mixed_colors(base)
     ids: dict[tuple[int, int], int] = {}
     tokens: list[str] = []
     rows = []
-    for y in range(base.lattice.h):
+    for y, cells in enumerate(base):
         row = []
-        for x in range(base.lattice.w):
-            c = base.rows[y][x]
+        for x, c in enumerate(cells):
             key = (c, parity((x, y)) if c in mixed else 0)
             if key not in ids:
                 ids[key] = len(ids) + 1
-                t = base.tokens[c - 1]
+                t = F.tokens[c - 1]
                 tokens.append(t + ("_o" if key[1] else "_e") if c in mixed else t)
             row.append(ids[key])
         rows.append(tuple(row))
     if len(set(tokens)) != len(tokens):  # token clash, e.g. "1_e" already taken
         tokens = [str(i) for i in range(1, len(tokens) + 1)]
-    return PeriodicColoring(base.lattice, tuple(rows), tuple(tokens))
+    return PeriodicColoring(lat, tuple(rows), tuple(tokens))

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .coloring import PeriodicColoring
 from .grid import Vec2
-from .perfect import QuotientMatrix, _asymmetric_support, quotient
+from .perfect import QuotientMatrix, quotient
 
 # Offsets at which a covering without equal rows never repeats a color:
 # distance 1 and 2 along rows/columns/diagonals.
@@ -84,27 +84,13 @@ def merge(F: PeriodicColoring, a: int, b: int) -> PeriodicColoring:
     return PeriodicColoring(F.lattice, rows, tokens)
 
 
-def covering_failure(S: QuotientMatrix) -> Optional[str]:
-    """Why S is not a covering quotient, or None if it is one."""
-    n = len(S)
-    for i in range(n):
-        if S[i][i]:
-            return f"diagonal entry at color {i + 1}"
-        for j in range(n):
-            if S[i][j] > 1:
-                return f"entry {S[i][j]} > 1 at ({i + 1},{j + 1})"
-    # every entry is 0 or 1 here, so symmetric support is a symmetric S
-    at = _asymmetric_support(S)
-    if at is not None:
-        return f"support is not symmetric at ({at[0]},{at[1]})"
-    return None
-
-
 def covering_target(S: QuotientMatrix) -> Optional[QuotientMatrix]:
-    """S itself when it is the adjacency matrix of a target graph, else None."""
-    if covering_failure(S) is not None:
-        return None
-    return S
+    """S itself when it is the adjacency matrix of a target graph, else None:
+    a zero diagonal and symmetric entries of 0 or 1."""
+    n = range(len(S))
+    if all(not S[i][i] and all(S[i][j] == S[j][i] <= 1 for j in n) for i in n):
+        return S
+    return None
 
 
 class NearDistinctnessPreconditionError(ValueError):

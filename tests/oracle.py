@@ -6,18 +6,20 @@ relabel that defines the canonical form and the search's
 `_first_occurrence` key, full-scan versions of the
 translation kernels in pcg.coloring, a canonical form that scans every
 D4 image in full, cell-by-cell versions of every shifted or rotated
-read of a coloring (translate, transform, rebase, the block kernel, the
+read of a coloring (the block kernel, the D4 image kernel, the
 perfectness check from each cell's sorted neighbor colors, and the
-stabilizer), the product of two grid automorphisms, and
-a union-find over the stabilizer's moves for the orbits and the orbit
-report."""
+stabilizer), a union-find over the stabilizer's moves for the orbits and
+the orbit report, and the only movers of a coloring outside the
+kernels: translate, transform, rebase and relabel, with the inverse and
+product of grid automorphisms that tests need."""
 
 import itertools
 from typing import Iterator, Optional, Sequence, TypeVar, Union
 
 from pcg.coloring import Lattice, PeriodicColoring, _text, canonical
 from pcg.coloring import parse
-from pcg.grid import GridAutomorphism, Vec2, d4_elements, mat_apply, mat_mul, neighbors
+from pcg.grid import IDENTITY, GridAutomorphism, Vec2, d4_elements, mat_apply, mat_mul
+from pcg.grid import neighbors
 from pcg.orbits import OrbitReport, StabilizerGroup, stabilizer
 from pcg.perfect import QuotientMatrix, Violation, _counts, check
 from pcg.search import SearchSpec, matrices_conjugate
@@ -124,7 +126,7 @@ def first_occurrence(F: PeriodicColoring) -> PeriodicColoring:
     for _, c in F.cells():
         if c not in perm:
             perm[c] = len(perm) + 1
-    return F.relabel(perm)
+    return relabel(F, perm)
 
 
 def brute_canonical(F: PeriodicColoring) -> str:
@@ -154,7 +156,8 @@ def brute_maximal_periods(F: PeriodicColoring) -> Lattice:
 
 
 def brute_translate(F: PeriodicColoring, t: Vec2) -> PeriodicColoring:
-    """The same answer as F.translate(t), read cell by cell with color_at."""
+    """The coloring v -> F(v - t) (the picture moved by +t), read cell by
+    cell with color_at."""
     tx, ty = t
     rows = tuple(
         tuple(F.color_at((x - tx, y - ty)) for x in range(F.lattice.w))
@@ -164,9 +167,10 @@ def brute_translate(F: PeriodicColoring, t: Vec2) -> PeriodicColoring:
 
 
 def brute_transform(F: PeriodicColoring, aut: GridAutomorphism) -> PeriodicColoring:
-    """The same answer as F.transform(aut), mapping every node back by aut^-1."""
+    """The coloring v -> F(aut^-1(v)), mapping every node back by aut^-1;
+    the lattice follows the point part."""
     lat = F.lattice.transform(aut.point)
-    inv = aut.inverse()
+    inv = inverse(aut)
     rows = tuple(
         tuple(F.color_at(inv.apply((x, y))) for x in range(lat.w))
         for y in range(lat.h)
@@ -175,7 +179,8 @@ def brute_transform(F: PeriodicColoring, aut: GridAutomorphism) -> PeriodicColor
 
 
 def brute_rebase(F: PeriodicColoring, lat: Lattice) -> PeriodicColoring:
-    """The same answer as F.rebase(lat), testing every cell with color_at."""
+    """F re-expressed on `lat`, whose basis vectors must be periods of F,
+    testing every cell with color_at."""
     cells = tuple(F.cells())
     for bx, by in lat.basis:
         for (x, y), c in cells:
@@ -216,6 +221,23 @@ def brute_check(F: PeriodicColoring) -> Union[QuotientMatrix, Violation]:
     return tuple(_counts(seen[i], F.n) for i in range(1, F.n + 1))
 
 
+def relabel(F: PeriodicColoring, perm: dict[int, int]) -> PeriodicColoring:
+    """F with color c renamed perm[c]; tokens travel with their colors."""
+    rows = tuple(tuple(perm[c] for c in row) for row in F.rows)
+    tokens = [""] * F.n
+    for old, new in perm.items():
+        tokens[new - 1] = F.tokens[old - 1]
+    return PeriodicColoring(F.lattice, rows, tuple(tokens))
+
+
+def inverse(a: GridAutomorphism) -> GridAutomorphism:
+    """The grid automorphism that undoes a, its point part found among
+    the D4 matrices by search."""
+    g = next(g for g in d4_elements() if mat_mul(g, a.point) == IDENTITY)
+    sx, sy = mat_apply(g, a.shift)
+    return GridAutomorphism(g, (-sx, -sy))
+
+
 def compose(a: GridAutomorphism, b: GridAutomorphism) -> GridAutomorphism:
     """The grid automorphism v -> a(b(v))."""
     sx, sy = mat_apply(a.point, b.shift)
@@ -242,7 +264,8 @@ def brute_stabilizer(F: PeriodicColoring) -> StabilizerGroup:
 
 
 def brute_orbits(F: PeriodicColoring) -> tuple[tuple[Vec2, ...], ...]:
-    """The same answer as orbits(F), joining v and aut(v) in a union-find."""
+    """The same answer as orbits(stabilizer(F)), joining v and aut(v) in a
+    union-find."""
     return _union_find_orbits(stabilizer(F))
 
 
@@ -274,7 +297,7 @@ def brute_orbit_report(F: PeriodicColoring) -> OrbitReport:
     row-major order for the first one outside the first cell's orbit."""
     group = stabilizer(F)
     parts = _union_find_orbits(group)
-    base = F.rebase(group.lattice)
+    base = brute_rebase(F, group.lattice)
     owner: dict[Vec2, int] = {}
     for i, orb in enumerate(parts):
         for v in orb:

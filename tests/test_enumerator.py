@@ -28,6 +28,7 @@ from pcg.search import (
 
 from conftest import _lattices_up_to_index
 from oracle import brute_greedy_order, brute_oracle, brute_perfect_colorings
+from oracle import brute_translate, relabel
 from oracle import first_occurrence, translation_key
 
 
@@ -374,7 +375,7 @@ def test_leaf_dedup_keeps_one_coloring_per_translation_class(data):
         key = _first_occurrence("".join(map(chr, _flat(F.rows))))
         perm = data.draw(st.permutations(range(1, F.n + 1)), label="renaming")
         for t in lat.domain():
-            G = F.translate(t).relabel(dict(zip(range(1, F.n + 1), perm)))
+            G = relabel(brute_translate(F, t), dict(zip(range(1, F.n + 1), perm)))
             text = "".join(map(chr, _flat(G.rows)))
             diagonal = [row[c] for c, row in enumerate(quotient(G))]
             assert worker._leads(text, diagonal) == (_first_occurrence(text) == key), t

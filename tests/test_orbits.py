@@ -6,16 +6,16 @@ from hypothesis import given, settings
 
 import pcg.orbits
 from pcg import fixtures
-from pcg.coloring import Lattice, PeriodicColoring, maximal_periods
+from pcg.coloring import Lattice, maximal_periods
 from pcg.grid import GridAutomorphism, IDENTITY, d4_elements
 from pcg.orbits import (
     orbit_report,
     orbits,
     stabilizer,
 )
-from pcg.report import classify
 
-from oracle import brute_orbit_report, brute_orbits, brute_stabilizer, compose
+from oracle import brute_orbit_report, brute_orbits, brute_rebase, brute_stabilizer
+from oracle import brute_transform, compose, inverse
 from test_coloring import colorings
 
 FROZEN_ORDERS = {
@@ -44,13 +44,13 @@ def test_stabilizer_matches_full_scan(corpus, small_sweep):
 
 def test_stabilizer_is_closed_under_product_and_inverse(corpus, small_sweep):
     # every point map and shift fixing F is a group by construction, so
-    # `stabilizer` does not check this itself; `_orbits` relies on it
+    # `stabilizer` does not check this itself; `orbits` relies on it
     for F in [*corpus.values(), *small_sweep]:
         group = stabilizer(F)
         lat = group.lattice
         keys = {(e.point, e.shift) for e in group.elements}
         for a in group.elements:
-            inv = a.inverse()
+            inv = inverse(a)
             assert (inv.point, lat.reduce(inv.shift)) in keys, (F, a)
             for b in group.elements:
                 ab = compose(a, b)
@@ -68,7 +68,7 @@ def test_stabilizer_contains_identity_and_preserves_colors():
     F = fixtures.get("e")
     g = stabilizer(F)
     assert GridAutomorphism(IDENTITY, (0, 0)) in g.elements
-    base = F.rebase(g.lattice)
+    base = brute_rebase(F, g.lattice)
     for aut in g.elements:
         assert all(
             base.color_at(aut.apply(v)) == c for v, c in base.cells()
@@ -93,11 +93,11 @@ def test_checkerboard_stabilizer_is_the_point_group():
 def test_orbits_partition_the_torus_and_refine_colors():
     for fid in ("h", "II-base", "8-150-2", "e"):
         F = fixtures.get(fid)
-        parts = orbits(F)
-        lat = stabilizer(F).lattice
+        group = stabilizer(F)
+        parts, lat = orbits(group), group.lattice
         seen = [v for orb in parts for v in orb]
         assert sorted(seen) == sorted(lat.domain())
-        base = F.rebase(lat)
+        base = brute_rebase(F, lat)
         for orb in parts:
             assert len({base.color_at(v) for v in orb}) == 1
 
@@ -105,13 +105,13 @@ def test_orbits_partition_the_torus_and_refine_colors():
 def test_orbits_and_report_match_union_find(corpus, small_sweep):
     # every corpus coloring under every point map with a random shift
     rng = random.Random(9)
-    moved = [
-        F.transform(GridAutomorphism(g, (rng.randint(-6, 6), rng.randint(-6, 6))))
-        for F in corpus.values()
-        for g in d4_elements()
-    ]
+    moved = []
+    for F in corpus.values():
+        for g in d4_elements():
+            t = rng.randint(-6, 6), rng.randint(-6, 6)
+            moved.append(brute_transform(F, GridAutomorphism(g, t)))
     for F in [*corpus.values(), *moved, *small_sweep]:
-        assert orbits(F) == brute_orbits(F)
+        assert orbits(stabilizer(F)) == brute_orbits(F)
         assert orbit_report(F) == brute_orbit_report(F)
 
 
@@ -122,9 +122,8 @@ def test_orbit_flags_on_corpus():
 
 
 def test_orbit_counts():
-    assert len(orbits(fixtures.get("8-150-1"))) == 16
-    assert len(orbits(fixtures.get("8-150-2"))) == 8
-    assert len(orbits(fixtures.get("L1-a"))) == 16
+    for fid, count in (("8-150-1", 16), ("8-150-2", 8), ("L1-a", 16)):
+        assert len(orbits(stabilizer(fixtures.get(fid)))) == count, fid
 
 
 def test_orbit_report_on_non_orbit_coloring():
@@ -158,25 +157,11 @@ def test_orbit_report_builds_the_stabilizer_once(monkeypatch):
     assert built == [F]
 
 
-def test_classify_reads_the_declared_domain_without_rebasing(monkeypatch):
-    # II-base is declared on (4,0) (0,4); its maximal lattice is coarser, and
-    # canonical and the stabilizer read its D4 images off the declared domain
-    calls = []
-    rebase = PeriodicColoring.rebase
-    monkeypatch.setattr(
-        PeriodicColoring, "rebase", lambda F, L: calls.append(L) or rebase(F, L)
-    )
-    F = fixtures.get("II-base")
-    assert F.lattice == Lattice(4, 0, 4) and maximal_periods(F) == Lattice(4, 2, 2)
-    classify(F).to_json_dict()
-    assert calls == []
-
-
 @given(colorings())
 @settings(max_examples=25, deadline=None)
 def test_stabilizer_order_divides_and_orbits_refine(F):
     g = stabilizer(F)
-    parts = orbits(F)
+    parts = orbits(g)
     assert sum(len(p) for p in parts) == g.lattice.index
     # the stabilizer acts on the torus; orbit sizes divide the order
     assert all(g.order % len(p) == 0 for p in parts)

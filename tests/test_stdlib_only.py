@@ -1,10 +1,12 @@
 """The runtime is pure standard library: nothing under src/pcg imports
 a module from outside it or the package itself, and no module or test
 file imports a name it never uses. The package exports exactly the names
-its `__init__` imports."""
+its `__init__` imports, and every function and class it defines is used
+by the package or the benchmark, or is named on a list with its reason."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ import pcg
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "pcg"
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def _imported_modules(path: Path) -> set[str]:
@@ -71,3 +74,49 @@ def test_public_names_are_the_package_imports():
     ]
     assert sorted(pcg.__all__) == sorted(imported)
     assert all(hasattr(pcg, name) for name in pcg.__all__)
+
+
+# Defined in src/pcg and read by nothing there or in perfbench, with the reason
+# each stays: the acceptance gate checks it, or the corpus is built from it.
+UNREFERENCED = {
+    "dk": "gate A8 checks the walk counts",
+    "refine_bipartite": "gate A5 checks the parity refinement",
+    "sheared_stripes": "gate A10 builds its coloring",
+    "near_distinctness": "gate A13 checks the lemma",
+    "checkerboard": "a corpus generator",
+    "constant": "a corpus generator",
+    "stripes": "a corpus generator",
+}
+
+
+def _names(node: ast.AST) -> Counter:
+    """Every name read, attribute taken or name imported under `node`."""
+    names: Counter = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            names[n.attr] += 1
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            names.update(a.name for a in n.names)
+    return names
+
+
+def test_every_definition_is_used_or_listed():
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))]
+    used = sum((_names(t) for t in trees), Counter())
+    # perfbench names what it times as strings, e.g. in spans.LAYERS
+    bench: set[str] = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bench |= set(_names(tree))
+        bench |= {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+    unused = set()
+    for d in (d for t in trees for d in ast.walk(t)):
+        if not isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if d.name.startswith("__") and d.name.endswith("__"):
+            continue  # the language calls these
+        if used[d.name] == _names(d)[d.name] and d.name not in bench:
+            unused.add(d.name)
+    assert unused == set(UNREFERENCED), sorted(unused ^ set(UNREFERENCED))

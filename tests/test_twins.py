@@ -13,7 +13,6 @@ from pcg.twins import (
     NEAR_OFFSETS,
     NearDistinctnessPreconditionError,
     TwinMergeError,
-    covering_failure,
     covering_target,
     equal_rows,
     merge,
@@ -109,10 +108,10 @@ def test_merging_twins_preserves_perfectness_corpus_wide():
 
 
 def test_covering_failure_cases():
-    assert covering_failure(((0, 1), (1, 0))) is None
-    assert "diagonal" in covering_failure(((2, 2), (2, 2)))
-    assert "> 1" in covering_failure(((0, 4), (4, 0)))
-    assert "symmetric" in covering_failure(((0, 1, 0), (0, 0, 1), (1, 0, 0)))
+    assert covering_target(((0, 1), (1, 0))) == ((0, 1), (1, 0))
+    assert covering_target(((2, 2), (2, 2))) is None  # diagonal entry
+    assert covering_target(((0, 4), (4, 0))) is None  # entry > 1
+    assert covering_target(((0, 1, 0), (0, 0, 1), (1, 0, 0))) is None  # asymmetric
 
 
 def test_stationary_and_covering_failure_name_one_asymmetric_entry():
@@ -132,7 +131,7 @@ def test_stationary_and_covering_failure_name_one_asymmetric_entry():
             with pytest.raises(DetailedBalanceError) as exc:
                 stationary(S)
             assert str(exc.value) == want, S
-            assert covering_failure(S) == want, S
+            assert covering_target(S) is None, S
             checked += 1
     assert checked == 2 + 56  # of the 4 matrices with n = 2 and the 64 with n = 3
 
