@@ -108,12 +108,6 @@ class Lattice:
     def basis(self) -> tuple[Vec2, Vec2]:
         return ((self.w, 0), (self.s, self.h))
 
-    def contains(self, v: Vec2) -> bool:
-        x, y = v
-        if y % self.h:
-            return False
-        return (x - (y // self.h) * self.s) % self.w == 0
-
     def reduce(self, v: Vec2) -> Vec2:
         """The fundamental-domain representative of v's coset."""
         x, y = v

@@ -65,20 +65,15 @@ def _minimal_period(seq: tuple[int, ...]) -> tuple[int, ...]:
     return seq
 
 
-def _lattice_step(F: PeriodicColoring, o: Orientation) -> int:
-    """Smallest p > 0 with p * (diagonal step) in F's declared lattice."""
-    g = DIAGONAL_STEP[o]
-    lat = F.lattice
-    p = lat.h  # the y-part of p*g must be a multiple of h
-    while not lat.contains((p * g[0], p * g[1])):
-        p += lat.h
-    return p
-
-
 def diagonal_sequence(F: PeriodicColoring, o: Orientation, idx: int) -> tuple[int, ...]:
-    """Colors along the diagonal from node (idx, 0), cut to their minimal period."""
+    """Colors along the diagonal from node (idx, 0), cut to their minimal period.
+
+    One period of F's maximal lattice (w, 0), (s, h) is read: the least
+    p > 0 with p * (1, g_y) in it, which is h * w // gcd(w, h - g_y * s).
+    """
     g = DIAGONAL_STEP[o]
-    period = _lattice_step(F, o)
+    lat = maximal_periods(F)
+    period = lat.h * lat.w // gcd(lat.w, lat.h - g[1] * lat.s)
     seq = tuple(F.color_at((idx + i * g[0], i * g[1])) for i in range(period))
     return _minimal_period(seq)
 

@@ -10,7 +10,7 @@ walk counts, the stationary vector, and the parity refinement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Union
 
 from .coloring import Lattice, PeriodicColoring, Rows, _block
 from .grid import Vec2, parity
@@ -98,16 +98,6 @@ def dk(S: QuotientMatrix, b: int, b2: int, k: int) -> int:
     return row[b2 - 1]
 
 
-def _asymmetric_support(S: QuotientMatrix) -> Optional[tuple[int, int]]:
-    """The first 1-based (i, j) where just one of S[i][j], S[j][i] is positive."""
-    n = len(S)
-    for i in range(n):
-        for j in range(n):
-            if (S[i][j] > 0) != (S[j][i] > 0):
-                return i + 1, j + 1
-    return None
-
-
 def stationary(S: QuotientMatrix) -> tuple[Fraction, ...]:
     """The positive rationals P with S[i][j] P[i] = S[j][i] P[j], sum 1.
 
@@ -118,9 +108,11 @@ def stationary(S: QuotientMatrix) -> tuple[Fraction, ...]:
     from fractions import Fraction
 
     n = len(S)
-    at = _asymmetric_support(S)
-    if at is not None:
-        raise DetailedBalanceError(f"support is not symmetric at ({at[0]},{at[1]})")
+    for i in range(n):
+        for j in range(n):
+            if (S[i][j] > 0) != (S[j][i] > 0):
+                at = f"({i + 1},{j + 1})"
+                raise DetailedBalanceError(f"support is not symmetric at {at}")
     weight: dict[int, Fraction] = {0: Fraction(1)}
     queue = [0]
     while queue:

@@ -44,6 +44,14 @@ representative that `enumerate_colorings` picks. Colorings are still
 stored row-major, so the order changes only how fast the search runs,
 never what it returns.
 
+With `jobs` > 1, `_enumerate` splits the tree into 4 * jobs parts. Part
+p numbers the subtrees it enters at one split depth, in search order,
+and searches those numbered p modulo the part count. Above the split all
+parts walk one tree in one order, and undo restores the state after each
+subtree, so each subtree falls to one part; the leaf rule keeps no
+state, so the parts keep the serial run's leaves. A serial run is one
+part of one.
+
 The eight point maps of the grid (the group D4) carry the perfect
 colorings of one torus onto those of its images, and canonical forms do
 not see them, so a lattice and its images share one answer.
@@ -170,15 +178,24 @@ def _greedy_order(nbr: list[tuple[int, ...]]) -> list[int]:
 
 
 class _Engine:
-    """Backtracking state for one torus; trail-undone, reusable, and no run
-    depends on an earlier one. `nodes` counts the colors tried at a cell,
-    forced ones included."""
+    """Backtracking state for part `part` of `parts` of one torus's tree;
+    trail-undone. An engine runs once: `seen` and `reps` carry over from
+    one run to the next. `nodes` counts the colors tried at a cell."""
 
-    def __init__(self, spec: SearchSpec):
+    def __init__(self, spec: SearchSpec, part: int = 0, parts: int = 1):
         self.spec = spec
         lat = spec.lattice
         cells = list(lat.domain())
         self.N = len(cells)
+        self.m = m = spec.max_colors
+        self.part, self.parts, self.seen = part, parts, 0
+        # the split depth: the least with 4 * parts color strings that bring
+        # in colors 1..m in order (by[k] of them use k colors), at most N
+        self.split, by = 1, [0, 1] + [0] * (m - 1)
+        while self.split < self.N and sum(by) < 4 * parts:
+            self.split += 1
+            for k in range(m, 0, -1):
+                by[k] = k * by[k] + by[k - 1]
         pos = {v: i for i, v in enumerate(cells)}
         nbr = [tuple(pos[lat.reduce(u)] for u in neighbors(v)) for v in cells]
         # cells in the order the search colors them; `color` stays row-major
@@ -186,7 +203,6 @@ class _Engine:
         at = {c: depth for depth, c in enumerate(self.order)}
         # cell u is complete, all its neighbors colored, from depth done[u] on
         done = [max(at[u] for u in (i, *nb)) for i, nb in enumerate(nbr)]
-        self.m = m = spec.max_colors
         self.color = [0] * self.N
         # partial[u*m + d]: neighbors of u colored d+1. Tables by depth t
         # and d, for i = order[t] colored d+1: slots[t*m + d] are the
@@ -261,16 +277,8 @@ class _Engine:
             for tx in range(1, self.w) if r[tx] == r[0]
         )
 
-    def run(
-        self,
-        forced: tuple[int, ...] = (),
-        stop: Optional[int] = None,
-        prefixes: Optional[list[tuple[int, ...]]] = None,
-        depth: int = 0,
-    ) -> None:
-        """Search below `depth`, trying only forced[depth] while forced
-        lasts; with `stop`, append each branch's colors of order[:stop]
-        to `prefixes` instead of going deeper.
+    def run(self, depth: int = 0) -> None:
+        """Search below `depth`, entering only this part's split subtrees.
 
         Coloring cell i with x moves a colored neighbor's profile in
         column x-1 only, and every colored cell stays within its color's
@@ -280,20 +288,17 @@ class _Engine:
         within `lmax[c]`, whose sum is at most 4, so it equals `lmax[c]`
         and fits every cell of color c.
         """
-        if depth == stop:
-            assert prefixes is not None
-            prefixes.append(tuple(self.color[i] for i in self.order[:depth]))
-            return
+        if depth == self.split:
+            self.seen += 1
+            if self.seen % self.parts != self.part:
+                return
         spec = self.spec
         if spec.surjective and self.num_used + (self.N - depth) < spec.max_colors:
             return
         if depth == self.N:
             self._leaf()
             return
-        if depth < len(forced):
-            candidates = (forced[depth],)
-        else:
-            candidates = range(1, min(self.num_used + 1, spec.max_colors) + 1)
+        candidates = range(1, min(self.num_used + 1, spec.max_colors) + 1)
         self.nodes += len(candidates)
         i, m = self.order[depth], self.m
         color, partial, lmax, lsum = self.color, self.partial, self.lmax, self.lsum
@@ -354,7 +359,7 @@ class _Engine:
                     and (len(trail) == mark or self._diagonal_holds(x, top))
                     and (depth != self.row0 or self._row0_leads())
                 ):
-                    self.run(forced, stop, prefixes, depth + 1)
+                    self.run(depth + 1)
                 # Undo: the color, the partials and num_used are replayed;
                 # the trail holds lmax raises as (j << 3) + old and rows as -c.
                 color[i] = 0
@@ -398,23 +403,11 @@ def _finish(strings: set[str]) -> tuple[PeriodicColoring, ...]:
     return tuple(parse(s) for s in sorted(strings))
 
 
-# This worker process's engine; see `_start_worker`.
-_worker_engine: Optional[_Engine] = None
-
-
-def _start_worker(spec: SearchSpec) -> None:
-    """Pool initializer: each worker builds one engine for all its prefixes."""
-    global _worker_engine
-    _worker_engine = _Engine(spec)
-
-
-def _run_prefix(prefix: tuple[int, ...]) -> set[str]:
-    """Canonical forms of the colorings under `prefix`; they do not depend
-    on the prefixes this worker's engine ran before."""
-    eng = _worker_engine
-    assert eng is not None
-    eng.reps.clear()
-    eng.run(forced=prefix)
+def _search(spec: SearchSpec, part: int = 0, parts: int = 1) -> set[str]:
+    """Canonical forms of the colorings in part `part` of `parts` of the
+    tree; see the module docstring."""
+    eng = _Engine(spec, part, parts)
+    eng.run()
     return eng.canonicals()
 
 
@@ -462,21 +455,12 @@ def _enumerate(spec: SearchSpec, jobs: int) -> tuple[PeriodicColoring, ...]:
     613,153 nodes, its representative 4x8 only 35,099.
     """
     jobs = min(jobs, os.cpu_count() or 1)
-    eng = _Engine(spec)
     if jobs <= 1:
-        eng.run()
-        return _finish(eng.canonicals())
-    depth = 1
-    while True:
-        prefixes: list[tuple[int, ...]] = []
-        eng.run(stop=depth, prefixes=prefixes)
-        if not prefixes:
-            return ()
-        if len(prefixes) >= 4 * jobs or depth >= spec.lattice.index:
-            break
-        depth += 1
+        return _finish(_search(spec))
     import multiprocessing  # only the pool path pays for it
 
-    with multiprocessing.Pool(jobs, _start_worker, (spec,)) as pool:
-        chunks = pool.map(_run_prefix, prefixes, chunksize=1)
-    return _finish(set().union(*chunks))
+    parts = 4 * jobs
+    tasks = [(spec, part, parts) for part in range(parts)]
+    with multiprocessing.Pool(jobs) as pool:
+        found = pool.starmap(_search, tasks, chunksize=1)
+    return _finish(set().union(*found))

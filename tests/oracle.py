@@ -155,6 +155,13 @@ def brute_maximal_periods(F: PeriodicColoring) -> Lattice:
     return Lattice.from_vectors(*vecs)
 
 
+def lattice_contains(lat: Lattice, v: Vec2) -> bool:
+    """Is v in lat? Its y-part is k*h for some k, and then its x-part
+    less k*s is a multiple of w."""
+    x, y = v
+    return y % lat.h == 0 and (x - (y // lat.h) * lat.s) % lat.w == 0
+
+
 def brute_translate(F: PeriodicColoring, t: Vec2) -> PeriodicColoring:
     """The coloring v -> F(v - t) (the picture moved by +t), read cell by
     cell with color_at."""

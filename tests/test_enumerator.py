@@ -191,13 +191,14 @@ def test_parallel_jobs_agree_off_row_major():
     assert _enumerate(sp, jobs=1) == _enumerate(sp, jobs=2)
 
 
-def test_jobs_capped_at_cpu_count(monkeypatch):
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Pools that run their tasks in this process; the size of each."""
     sizes = []
 
     class InlinePool:
-        def __init__(self, processes, initializer, initargs):
+        def __init__(self, processes):
             sizes.append(processes)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -205,29 +206,36 @@ def test_jobs_capped_at_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, args, chunksize):
-            return list(map(fn, args))
+        def starmap(self, fn, args, chunksize):
+            return list(itertools.starmap(fn, args))
 
     monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    return sizes
+
+
+def test_jobs_capped_at_cpu_count(inline_pool, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    # the initializer runs here, in this process; drop its engine afterwards
-    monkeypatch.setattr(search, "_worker_engine", None)
     sp = spec(4, 0, 2, 4, surjective=False)
     assert _enumerate(sp, jobs=64) == _enumerate(sp, jobs=1)
-    assert sizes == [3]
+    assert inline_pool == [3]
 
 
-def test_jobs_with_no_prefix_start_no_pool(monkeypatch):
-    """A 3x2 torus has no perfect coloring with 5 colors, and the prefix
-    split runs out of branches before it has enough prefixes for a pool,
-    so it returns before it starts one."""
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
-
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+def test_jobs_on_an_empty_tree_find_nothing(inline_pool, monkeypatch):
+    """A 3x2 torus has no perfect coloring with 5 colors: every part of
+    the split comes back empty."""
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert _enumerate(SearchSpec(Lattice(3, 0, 2), 5), jobs=2) == ()
+    assert inline_pool == [2]
+
+
+@pytest.mark.parametrize("parts", [2, 5])
+def test_split_with_one_color_keeps_the_coloring(parts):
+    """With one color there is one color string per depth, so the split
+    depth stops at the cell count, and the one coloring falls to one part."""
+    sp = spec(3, 1, 4, 1)
+    assert _Engine(sp, 0, parts).split == 12
+    found = [search._search(sp, part, parts) for part in range(parts)]
+    assert sorted(map(len, found)) == [0] * (parts - 1) + [1]
 
 
 def test_spawned_workers_unpickle_the_spec(monkeypatch):
@@ -333,10 +341,10 @@ def _flat(rows):
 @settings(max_examples=60, deadline=None)
 def test_leaf_dedup_keeps_one_coloring_per_translation_class(data):
     """Against the least-translation key of tests/oracle.py: the engine
-    keeps one leaf of each class. Run prefix by prefix on one engine, as
-    a --jobs worker does, it keeps the same leaves in the same order, as
-    no run depends on an earlier one; and its leaf rule rejects every
-    renamed translate of a kept leaf but the leaf itself."""
+    keeps one leaf of each class. Split into parts, each run on a fresh
+    engine as a --jobs task is, the parts keep the serial leaves between
+    them, each in one part; and the leaf rule rejects every renamed
+    translate of a kept leaf but the leaf itself."""
     lat = data.draw(st.sampled_from(_lattices_up_to_index(12)), label="lattice")
     sp = SearchSpec(
         lat,
@@ -357,18 +365,15 @@ def test_leaf_dedup_keeps_one_coloring_per_translation_class(data):
     # a class kept twice would appear twice on the left
     assert sorted(translation_key(_flat(rows), lat) for rows in eng.reps) == classes
 
-    prefixes: list[tuple[int, ...]] = []
-    eng.run(stop=data.draw(st.integers(1, lat.index), label="depth"), prefixes=prefixes)
-    worker = _Engine(sp)
-    replayed = []
-    saved, search._worker_engine = search._worker_engine, worker
-    try:
-        for prefix in prefixes:
-            search._run_prefix(prefix)
-            replayed += worker.reps
-    finally:
-        search._worker_engine = saved
-    assert replayed == eng.reps
+    parts = data.draw(st.integers(1, 6), label="parts")
+    split = []
+    for part in range(parts):
+        worker = _Engine(sp, part, parts)
+        worker.run()
+        split.append(worker.reps)
+    assert sorted(itertools.chain(*split)) == sorted(eng.reps)
+    for a, b in itertools.combinations(split, 2):
+        assert not set(a) & set(b)
 
     if eng.reps:
         F = PeriodicColoring(lat, data.draw(st.sampled_from(eng.reps), label="rep"))
@@ -378,7 +383,7 @@ def test_leaf_dedup_keeps_one_coloring_per_translation_class(data):
             G = relabel(brute_translate(F, t), dict(zip(range(1, F.n + 1), perm)))
             text = "".join(map(chr, _flat(G.rows)))
             diagonal = [row[c] for c, row in enumerate(quotient(G))]
-            assert worker._leads(text, diagonal) == (_first_occurrence(text) == key), t
+            assert eng._leads(text, diagonal) == (_first_occurrence(text) == key), t
 
 
 @pytest.fixture
@@ -387,9 +392,9 @@ def engines(monkeypatch):
     built = []
 
     class CountingEngine(_Engine):
-        def __init__(self, spec):
+        def __init__(self, spec, part=0, parts=1):
             built.append(spec)
-            super().__init__(spec)
+            super().__init__(spec, part, parts)
 
     monkeypatch.setattr(search, "_memo", {})
     monkeypatch.setattr(search, "_Engine", CountingEngine)
