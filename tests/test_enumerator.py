@@ -185,7 +185,7 @@ def test_parallel_jobs_agree():
 
 
 def test_parallel_jobs_agree_off_row_major():
-    # prefixes hold colors in search-order positions, not row-major ones
+    # the split numbers subtrees in the search order, which is not row-major here
     sp = spec(8, 2, 2, 4, surjective=False)
     assert _Engine(sp).order != list(range(16))
     assert _enumerate(sp, jobs=1) == _enumerate(sp, jobs=2)
