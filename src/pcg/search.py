@@ -50,7 +50,17 @@ and searches those numbered p modulo the part count. Above the split all
 parts walk one tree in one order, and undo restores the state after each
 subtree, so each subtree falls to one part; the leaf rule keeps no
 state, so the parts keep the serial run's leaves. A serial run is one
-part of one.
+part of one, and so is a search whose split depth reaches the cell
+count, where every part would walk the whole tree.
+
+The parts run on a pool of `jobs` worker processes, `jobs` capped at the
+CPUs this process may run on. The first search that needs the pool
+starts it, and later searches with the same capped `jobs` reuse it; one
+with another `jobs` terminates it and starts a new one. A search that
+raises, a task's error or an interrupt, terminates it too, so no later
+search waits behind stale tasks, and interpreter exit terminates it.
+Where the workers are forked, they run the code as it was when the pool
+started: a later change to this module's globals does not reach them.
 
 The eight point maps of the grid (the group D4) carry the perfect
 colorings of one torus onto those of its images, and canonical forms do
@@ -62,6 +72,7 @@ lattice; `_enumerate` is the search itself, uncached.
 
 from __future__ import annotations
 
+import atexit
 import os
 from dataclasses import dataclass, replace
 from operator import gt, itemgetter, le
@@ -177,6 +188,17 @@ def _greedy_order(nbr: list[tuple[int, ...]]) -> list[int]:
     return order
 
 
+def _split_depth(cells: int, colors: int, parts: int) -> int:
+    """The least depth with 4 * parts color strings that bring in colors
+    1..colors in order (by[k] of them use k colors), at most `cells`."""
+    depth, by = 1, [0, 1] + [0] * (colors - 1)
+    while depth < cells and sum(by) < 4 * parts:
+        depth += 1
+        for k in range(colors, 0, -1):
+            by[k] = k * by[k] + by[k - 1]
+    return depth
+
+
 class _Engine:
     """Backtracking state for part `part` of `parts` of one torus's tree;
     trail-undone. An engine runs once: `seen` and `reps` carry over from
@@ -189,13 +211,7 @@ class _Engine:
         self.N = len(cells)
         self.m = m = spec.max_colors
         self.part, self.parts, self.seen = part, parts, 0
-        # the split depth: the least with 4 * parts color strings that bring
-        # in colors 1..m in order (by[k] of them use k colors), at most N
-        self.split, by = 1, [0, 1] + [0] * (m - 1)
-        while self.split < self.N and sum(by) < 4 * parts:
-            self.split += 1
-            for k in range(m, 0, -1):
-                by[k] = k * by[k] + by[k - 1]
+        self.split = _split_depth(self.N, m, parts)
         pos = {v: i for i, v in enumerate(cells)}
         nbr = [tuple(pos[lat.reduce(u)] for u in neighbors(v)) for v in cells]
         # cells in the order the search colors them; `color` stays row-major
@@ -430,8 +446,10 @@ def enumerate_colorings(
     otherwise up to max_colors. A quotient constraint accepts a
     coloring when its matrix equals the given one up to a simultaneous
     permutation of the colors. jobs > 1 splits the search tree across
-    processes, never more than os.cpu_count(); it changes only the
-    speed, never the result.
+    a pool of worker processes, never more than the CPUs this process
+    may run on; it changes only the speed, never the result. The pool
+    is kept for later searches with the same capped jobs, replaced for
+    another, and terminated at exit (see the module docstring).
 
     Results are memoised per D4 class of the lattice (see the module
     docstring): the search runs on the class's least lattice, and the
@@ -454,13 +472,41 @@ def _enumerate(spec: SearchSpec, jobs: int) -> tuple[PeriodicColoring, ...]:
     there, but the search may be slower: 8x4 with 4 colors visits
     613,153 nodes, its representative 4x8 only 35,099.
     """
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1:
-        return _finish(_search(spec))
-    import multiprocessing  # only the pool path pays for it
-
+    jobs = min(jobs, _cpus())
     parts = 4 * jobs
+    cells = spec.lattice.index
+    # a split at the cell count gives every part the whole tree to walk
+    if jobs <= 1 or _split_depth(cells, spec.max_colors, parts) == cells:
+        return _finish(_search(spec))
+    pool = _pools.get(jobs)
+    if pool is None:
+        _stop_pools()
+        import multiprocessing  # only the pool path pays for it
+
+        pool = _pools[jobs] = multiprocessing.Pool(jobs)
     tasks = [(spec, part, parts) for part in range(parts)]
-    with multiprocessing.Pool(jobs) as pool:
+    try:
         found = pool.starmap(_search, tasks, chunksize=1)
+    except BaseException:
+        # a later search must not wait behind this one's tasks
+        _stop_pools()
+        raise
     return _finish(set().union(*found))
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# The --jobs pool by its size, at most one, kept from search to search.
+_pools: dict = {}
+
+
+@atexit.register
+def _stop_pools() -> None:
+    """Terminate the kept pool, if there is one, and forget it."""
+    while _pools:
+        _pools.popitem()[1].terminate()

@@ -10,7 +10,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from pcg import fixtures
+import pytest
+
+from pcg import fixtures, search
 from pcg.cli import main
 from pcg.coloring import render
 
@@ -94,6 +96,33 @@ def test_lazy_commands_run_from_a_cold_start(tmp_path, capsys):
     assert got["runs"] == want
     assert want[1] == [0, "1 1/4\n2 1/8\n3 1/8\n4 1/2\n"]
     assert {"fractions", "pcg.fixtures"} <= set(got["after"])
-    # --jobs is capped at the CPU count, so one CPU never starts the pool
-    pooled = (os.cpu_count() or 1) > 1
+    # --jobs is capped at the CPUs this process may run on, so one CPU
+    # never starts the pool
+    pooled = search._cpus() > 1
     assert ("multiprocessing" in got["after"]) == pooled
+
+
+def test_jobs_leave_no_process_behind(capsys):
+    """Two --jobs searches in one fresh interpreter share its pool, which
+    is gone, with every worker, once the interpreter has exited."""
+    shapes = [["--width", "4", "--height", "8", "--colors", "4"],
+              ["--width", "4", "--height", "6", "--colors", "5"]]
+    want = []
+    for shape in shapes:
+        assert main(["enumerate", *shape]) == 0
+        want.append([0, capsys.readouterr().out])
+    argvs = [["enumerate", *shape, "--jobs", "2"] for shape in shapes]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", COLD],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+        start_new_session=True,
+    )
+    out, _ = proc.communicate(json.dumps(argvs), timeout=120)
+    assert proc.returncode == 0
+    assert json.loads(out)["runs"] == want
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)

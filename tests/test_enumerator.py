@@ -192,40 +192,125 @@ def test_parallel_jobs_agree_off_row_major():
 
 
 @pytest.fixture
-def inline_pool(monkeypatch):
+def no_kept_pool():
+    """No kept --jobs pool before or after the test, so a test that
+    patches multiprocessing.Pool sees the pools it asserts on."""
+    search._stop_pools()
+    yield
+    search._stop_pools()
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPUs this process may run on, as the search counts them."""
+
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+
+    return set_cpus
+
+
+@pytest.fixture
+def inline_pool(no_kept_pool, monkeypatch):
     """Pools that run their tasks in this process; the size of each."""
     sizes = []
 
     class InlinePool:
         def __init__(self, processes):
             sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+            self.terminated = False
 
         def starmap(self, fn, args, chunksize):
             return list(itertools.starmap(fn, args))
+
+        def terminate(self):
+            self.terminated = True
 
     monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
     return sizes
 
 
-def test_jobs_capped_at_cpu_count(inline_pool, monkeypatch):
+def test_jobs_capped_at_cpu_count(inline_pool, cpus):
+    cpus(3)
+    sp = spec(4, 0, 2, 4, surjective=False)
+    assert _enumerate(sp, jobs=64) == _enumerate(sp, jobs=1)
+    assert inline_pool == [3]
+
+
+def test_jobs_capped_at_cpu_count_without_affinity(inline_pool, monkeypatch):
+    # platforms without sched_getaffinity fall back to os.cpu_count()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     sp = spec(4, 0, 2, 4, surjective=False)
     assert _enumerate(sp, jobs=64) == _enumerate(sp, jobs=1)
     assert inline_pool == [3]
 
 
-def test_jobs_on_an_empty_tree_find_nothing(inline_pool, monkeypatch):
+def test_jobs_on_an_empty_tree_find_nothing(inline_pool, cpus):
     """A 3x2 torus has no perfect coloring with 5 colors: every part of
     the split comes back empty."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cpus(2)
     assert _enumerate(SearchSpec(Lattice(3, 0, 2), 5), jobs=2) == ()
     assert inline_pool == [2]
+
+
+def test_searches_with_one_jobs_share_one_pool(inline_pool, cpus):
+    cpus(2)
+    a, b = spec(4, 0, 2, 4, surjective=False), spec(3, 0, 3, 3, surjective=False)
+    assert _enumerate(a, jobs=2) == _enumerate(a, jobs=1)
+    assert _enumerate(b, jobs=2) == _enumerate(b, jobs=1)
+    assert inline_pool == [2]
+    assert not search._pools[2].terminated
+
+
+def test_another_jobs_replaces_the_pool(inline_pool, cpus):
+    cpus(3)
+    sp = spec(4, 0, 2, 4, surjective=False)
+    want = _enumerate(sp, jobs=1)
+    assert _enumerate(sp, jobs=2) == want
+    first = search._pools[2]
+    assert _enumerate(sp, jobs=3) == want
+    # 8 is capped at the 3 CPUs, so it keeps the pool of 3
+    assert _enumerate(sp, jobs=8) == want
+    assert inline_pool == [2, 3]
+    assert first.terminated and list(search._pools) == [3]
+    assert not search._pools[3].terminated
+
+
+def test_a_failed_search_keeps_no_pool(no_kept_pool, cpus, monkeypatch):
+    """A task that raises reaches the caller and terminates the pool, so
+    no later search waits behind the failed one's tasks."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers see the patched engine only when forked")
+    cpus(2)
+
+    def fail(self, depth=0):
+        raise RuntimeError("task failed")
+
+    # patched before the pool forks, so the workers run it
+    monkeypatch.setattr(_Engine, "run", fail)
+    sp = spec(4, 0, 2, 4, surjective=False)
+    with pytest.raises(RuntimeError, match="task failed"):
+        _enumerate(sp, jobs=2)
+    assert search._pools == {}
+    monkeypatch.undo()
+    cpus(2)
+    assert _enumerate(sp, jobs=2) == _enumerate(sp, jobs=1)
+
+
+def test_a_split_at_the_cell_count_searches_in_process(no_kept_pool, cpus, monkeypatch):
+    """With one color the split depth is the cell count, where every
+    part would build an engine and walk the whole one-leaf tree."""
+
+    def no_pool(processes):
+        raise AssertionError("a split at the cell count must not start processes")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    cpus(2)
+    assert search._split_depth(900, 1, 8) == 900
+    got = _enumerate(spec(30, 0, 30, 1), jobs=2)
+    assert len(got) == 1 and check(got[0]) == ((4,),)
 
 
 @pytest.mark.parametrize("parts", [2, 5])
@@ -238,7 +323,7 @@ def test_split_with_one_color_keeps_the_coloring(parts):
     assert sorted(map(len, found)) == [0] * (parts - 1) + [1]
 
 
-def test_spawned_workers_unpickle_the_spec(monkeypatch):
+def test_spawned_workers_unpickle_the_spec(no_kept_pool, cpus, monkeypatch):
     """The pool path is the one that pickles the spec, and so its slotted
     Lattice; spawn, macOS's default start method, unpickles it in a fresh
     interpreter."""
@@ -250,7 +335,7 @@ def test_spawned_workers_unpickle_the_spec(monkeypatch):
     monkeypatch.setattr(
         multiprocessing, "Pool", lambda *a, **kw: pools.append(a) or spawn(*a, **kw)
     )
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cpus(2)
     assert _enumerate(sp, jobs=2) == serial
     assert len(pools) == 1 and len(serial) == 11
 
@@ -423,7 +508,7 @@ def test_searches_run_only_on_d4_representatives(engines):
     assert engines and all(sp == _d4_representative(sp) for sp in engines)
 
 
-def test_jobs_is_not_part_of_the_memo_key(engines, monkeypatch):
+def test_jobs_is_not_part_of_the_memo_key(engines, no_kept_pool, monkeypatch):
     def no_pool(processes):
         raise AssertionError("a memo hit must not start processes")
 
