@@ -179,12 +179,12 @@ def test_quotient_constraint_filters():
     assert len(constrained) == 1
 
 
-def test_parallel_jobs_agree():
+def test_parallel_jobs_agree(no_kept_pool):
     sp = spec(4, 0, 2, 4, surjective=False)
     assert _enumerate(sp, jobs=1) == _enumerate(sp, jobs=2)
 
 
-def test_parallel_jobs_agree_off_row_major():
+def test_parallel_jobs_agree_off_row_major(no_kept_pool):
     # the split numbers subtrees in the search order, which is not row-major here
     sp = spec(8, 2, 2, 4, surjective=False)
     assert _Engine(sp).order != list(range(16))
@@ -194,7 +194,8 @@ def test_parallel_jobs_agree_off_row_major():
 @pytest.fixture
 def no_kept_pool():
     """No kept --jobs pool before or after the test, so a test that
-    patches multiprocessing.Pool sees the pools it asserts on."""
+    patches multiprocessing.Pool sees the pools it asserts on, and no
+    test leaves its workers to the next."""
     search._stop_pools()
     yield
     search._stop_pools()
@@ -299,7 +300,7 @@ def test_a_failed_search_keeps_no_pool(no_kept_pool, cpus, monkeypatch):
     assert _enumerate(sp, jobs=2) == _enumerate(sp, jobs=1)
 
 
-def test_a_split_at_the_cell_count_searches_in_process(no_kept_pool, cpus, monkeypatch):
+def test_a_split_at_the_cell_count_runs_in_process(no_kept_pool, cpus, monkeypatch):
     """With one color the split depth is the cell count, where every
     part would build an engine and walk the whole one-leaf tree."""
 
