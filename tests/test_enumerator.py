@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from pcg import fixtures, search
 from pcg.coloring import CACHE_SIZE, Lattice, PeriodicColoring, canonical, parse
-from pcg.grid import d4_elements, neighbors
+from pcg.grid import GridAutomorphism, d4_elements, neighbors
 from pcg.perfect import Violation, check, quotient
 from pcg.report import classify
 from pcg.search import (
@@ -28,7 +28,7 @@ from pcg.search import (
 
 from conftest import _lattices_up_to_index
 from oracle import brute_greedy_order, brute_oracle, brute_perfect_colorings
-from oracle import brute_translate, relabel
+from oracle import brute_transform, brute_translate, relabel
 from oracle import first_occurrence, translation_key
 
 
@@ -97,17 +97,30 @@ def test_matches_brute_oracle():
         # cells that are their own neighbors, where the diagonal rule prunes
         spec(1, 0, 7, 4, surjective=False),
         spec(2, 1, 4, 3, surjective=False),
+        # the row-0 rule's 180-degree turn drops a class whose turn is
+        # kept, and the surjectivity cut prunes
+        spec(8, 3, 1, 3, surjective=False),
+        spec(8, 3, 1, 3),
     ]
+    turn = GridAutomorphism(((-1, 0), (0, -1)), (0, 0))
     for sp in cases:
         eng = _Engine(sp)
         eng.run()
         brute = list(brute_perfect_colorings(sp))
         assert eng.canonicals() == {canonical(F) for F in brute}, sp
         # Canonical forms cannot see a prune that drops a translation
-        # class while a D4 image of it on the same torus survives.
+        # class while a D4 image of it on the same torus survives. The
+        # search keeps one class of each pair that the 180-degree turn,
+        # which maps every lattice onto itself, joins: the kept classes
+        # and their turns are every class, and none is kept twice.
         lat = sp.lattice
-        kept = {translation_key(_flat(rows), lat) for rows in eng.reps}
-        assert kept == {translation_key(_flat(F.rows), lat) for F in brute}, sp
+        kept = [PeriodicColoring(lat, rows) for rows in eng.reps]
+        keys = {translation_key(_flat(F.rows), lat) for F in kept}
+        assert len(keys) == len(eng.reps), sp
+        turned = [brute_transform(F, turn) for F in kept]
+        assert all(F.lattice == lat for F in turned)
+        keys |= {translation_key(_flat(F.rows), lat) for F in turned}
+        assert keys == {translation_key(_flat(F.rows), lat) for F in brute}, sp
 
 
 def test_brute_oracle_guard():
@@ -124,6 +137,18 @@ def test_d4_images_enumerate_the_same_colorings():
         for g in d4_elements():
             image = SearchSpec(lat.transform(g), colors, surjective=False)
             assert _enumerate(image, jobs=1) == want, (lat, g)
+
+
+def test_surjective_search_keeps_the_lax_colorings_with_every_color():
+    """A lax search never takes the surjectivity cut, which drops a branch
+    that lacks a color once every used color is full, so its colorings
+    with exactly k colors check the surjective search on another path."""
+    for lat in _lattices_up_to_index(10):
+        top = min(4, lat.index)
+        lax = _enumerate(SearchSpec(lat, top, surjective=False), 1)
+        for k in range(1, top + 1):
+            want = tuple(F for F in lax if F.n == k)
+            assert _enumerate(SearchSpec(lat, k), 1) == want, (lat, k)
 
 
 def test_cell_order_is_a_permutation():
@@ -355,15 +380,18 @@ def test_search_visits_the_pinned_tree():
     The rule that color 1 has the largest diagonal quotient entry lowered
     every count, and so did the row-0 lex-leader rule, which cuts a
     branch once row 0 is colored if a shift (tx, 0) that keeps the
-    origin's color gives row 0 a smaller first-occurrence key; the
-    read-only pre-check runs after a node is counted, so it changes
-    none."""
+    origin's color gives row 0 a smaller first-occurrence key. Two rules
+    lowered them again: the row-0 rule also tries every rotation of row 0
+    turned by 180 degrees, the only rule that reaches the lax sweep, and
+    a surjective search cuts a branch that still lacks a color once every
+    used color's partial maxima sum to 4. The read-only pre-check runs
+    after a node is counted, so it changes none."""
     pinned = {
-        spec(4, 0, 8, 4): 35_099,
-        spec(4, 0, 6, 5): 48_001,
-        spec(6, 0, 6, 4): 101_928,
-        spec(4, 0, 4, 4): 14_715,
-        spec(5, 2, 2, 4): 1_669,
+        spec(4, 0, 8, 4): 24_393,
+        spec(4, 0, 6, 5): 30_395,
+        spec(6, 0, 6, 4): 62_558,
+        spec(4, 0, 4, 4): 10_981,
+        spec(5, 2, 2, 4): 1_431,
     }
     for sp, count in pinned.items():
         assert _d4_representative(sp) == sp
@@ -375,7 +403,7 @@ def test_search_visits_the_pinned_tree():
         for lat in lattices
     }
     assert len(lax) == 87
-    assert sum(map(nodes, lax)) == 419_845
+    assert sum(map(nodes, lax)) == 407_232
 
 
 def test_small_sweep_output_is_pinned(small_sweep):
