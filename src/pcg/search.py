@@ -62,9 +62,9 @@ p numbers the subtrees it enters at one split depth, in search order,
 and searches those numbered p modulo the part count. Above the split all
 parts walk one tree in one order, and undo restores the state after each
 subtree, so each subtree falls to one part; the cuts and the leaf rule
-keep no state, so the parts keep the serial run's leaves. A serial run is one
-part of one, and so is a search whose split depth reaches the cell
-count, where every part would walk the whole tree.
+keep no state, so the parts keep the serial run's leaves. A serial run
+is one part of one, and so is a search whose split depth reaches the
+cell count, where every part would walk the whole tree.
 
 The parts run on a pool of `jobs` worker processes, `jobs` capped at the
 CPUs this process may run on. The first search that needs the pool
@@ -392,7 +392,7 @@ class _Engine:
                     and (
                         len(trail) == mark
                         or self._diagonal_holds(x, top)
-                        # unused colors and color 0 have lsum 0
+                        # every used color full (the other lsum entries are 0)
                         and not (spec.surjective and self.num_used < m
                                  and sum(lsum) == 4 * self.num_used)
                     )
