@@ -382,8 +382,8 @@ def test_search_visits_the_pinned_tree():
     branch once row 0 is colored if a shift (tx, 0) that keeps the
     origin's color gives row 0 a smaller first-occurrence key. Two rules
     lowered them again: the row-0 rule also tries every rotation of row 0
-    turned by 180 degrees, the only rule that reaches the lax sweep, and
-    a surjective search cuts a branch that still lacks a color once every
+    turned by 180 degrees, the only one of the two that lowers the lax
+    sweep's total, and a surjective search cuts a branch that still lacks a color once every
     used color's partial maxima sum to 4. The read-only pre-check runs
     after a node is counted, so it changes none."""
     pinned = {
