@@ -102,7 +102,6 @@ def test_matches_brute_oracle():
         spec(8, 3, 1, 3, surjective=False),
         spec(8, 3, 1, 3),
     ]
-    turn = GridAutomorphism(((-1, 0), (0, -1)), (0, 0))
     for sp in cases:
         eng = _Engine(sp)
         eng.run()
@@ -114,13 +113,21 @@ def test_matches_brute_oracle():
         # which maps every lattice onto itself, joins: the kept classes
         # and their turns are every class, and none is kept twice.
         lat = sp.lattice
-        kept = [PeriodicColoring(lat, rows) for rows in eng.reps]
-        keys = {translation_key(_flat(F.rows), lat) for F in kept}
+        keys = {translation_key(_flat(rows), lat) for rows in eng.reps}
         assert len(keys) == len(eng.reps), sp
-        turned = [brute_transform(F, turn) for F in kept]
-        assert all(F.lattice == lat for F in turned)
-        keys |= {translation_key(_flat(F.rows), lat) for F in turned}
+        keys |= {_turned_class(rows, lat) for rows in eng.reps}
         assert keys == {translation_key(_flat(F.rows), lat) for F in brute}, sp
+
+
+def _turned_class(rows, lat):
+    """The translation_key of the coloring `rows` turned by 180 degrees,
+    which maps every lattice onto itself."""
+    G = brute_transform(PeriodicColoring(lat, rows), _TURN)
+    assert G.lattice == lat
+    return translation_key(_flat(G.rows), lat)
+
+
+_TURN = GridAutomorphism(((-1, 0), (0, -1)), (0, 0))
 
 
 def test_brute_oracle_guard():
@@ -455,7 +462,8 @@ def _flat(rows):
 @settings(max_examples=60, deadline=None)
 def test_leaf_dedup_keeps_one_coloring_per_translation_class(data):
     """Against the least-translation key of tests/oracle.py: the engine
-    keeps one leaf of each class. Split into parts, each run on a fresh
+    keeps one leaf of each class it reaches, or of the class's 180-degree
+    turn, and never two of one class. Split into parts, each run on a fresh
     engine as a --jobs task is, the parts keep the serial leaves between
     them, each in one part; and the leaf rule rejects every renamed
     translate of a kept leaf but the leaf itself."""
@@ -475,9 +483,13 @@ def test_leaf_dedup_keeps_one_coloring_per_translation_class(data):
 
     eng = Logged(sp)
     eng.run()
-    classes = sorted({translation_key(leaf, lat) for leaf in leaves})
-    # a class kept twice would appear twice on the left
-    assert sorted(translation_key(_flat(rows), lat) for rows in eng.reps) == classes
+    classes = {translation_key(leaf, lat) for leaf in leaves}
+    kept = [translation_key(_flat(rows), lat) for rows in eng.reps]
+    assert len(set(kept)) == len(kept)
+    # the row-0 rule may cut a class's least translate when its turn's
+    # least translate is less, and then the turn is kept
+    turned = {_turned_class(rows, lat) for rows in eng.reps}
+    assert set(kept) <= classes <= set(kept) | turned
 
     parts = data.draw(st.integers(1, 6), label="parts")
     split = []
