@@ -2,12 +2,12 @@
 
 `enumerate_colorings` walks the cells of the fundamental domain in a
 fixed order assigning colors, maintaining for every color the
-entrywise maximum of the partial neighbor profiles seen so far.  A
-color's row becomes established the first time one of its nodes has
-all four neighbors assigned; after that every node of the color must
-match the row exactly.  Before establishment the partial maxima must
-stay dominated by SOME row summing to 4, which gives the prune
-``sum of maxima <= 4``.  Symmetry is broken by forcing the first cell
+entrywise maximum of the partial neighbor profiles seen so far.  Every
+node of a color ends with the color's row, which sums to 4, so the
+partial maxima must stay dominated by SOME row summing to 4, which
+gives the prune ``sum of maxima <= 4``.  A color whose maxima sum to 4
+is full: no entry can rise, so the maxima are its row, and every node
+of the color must fit it.  Symmetry is broken by forcing the first cell
 to color 1 and introducing new colors in increasing order; full
 deduplication happens afterwards through canonical forms, so point
 symmetries need no special treatment during search.
@@ -17,10 +17,10 @@ origin color's diagonal quotient entry S(c,c), largest first, then the
 first-occurrence key of the row-major colors; neither sees color names.
 The search keeps the least translate of each class, testing the order at
 three depths. At every step, the diagonal rule prunes once some color's
-lower bound on S(c,c) (its established row, else its partial maximum in
-column c) passes color 1's upper bound on S(1,1) (its established row,
-else 4 minus its other partial maxima); both bounds only tighten with
-depth. Once row 0 is colored, the row-0 rule cuts the branch if a shift
+lower bound on S(c,c) (its partial maximum in column c) passes color
+1's upper bound on S(1,1) (4 minus its other partial maxima); both
+bounds only tighten with depth, and are the row entries once the color
+is full. Once row 0 is colored, the row-0 rule cuts the branch if a shift
 (tx, 0) with the origin's color at tx gives row 0 a smaller key: every
 lattice holds (w, 0), so the shift maps row 0 onto itself and keeps
 S(1,1), and a translate's key starts with its row 0's. The 180 degree
@@ -43,14 +43,14 @@ no later cell can bring in a new color.
 
 Each node is one placement step. A read-only pre-check first tests the
 new color at each colored neighbor in the one column that changes,
-against the established row or else the row-sum bound. It is exact, so
-once the step writes (the color goes into every neighbor's profile and
-the maxima rise) only the new cell's full check and the diagonal rule
-can reject. Undo replays the step for colors and profiles; only raised
-maxima and established rows go on an int trail. The tables the step
+against the row-sum bound, which is the row once the color is full. It
+is exact, so once the step writes (the color goes into every neighbor's
+profile and the maxima rise) only the new cell's full check and the
+diagonal rule can reject. Undo replays the step for colors and
+profiles; only raised maxima go on an int trail. The tables the step
 reads are laid out by depth in the cell order.
 
-Rows are established sooner, and so prune sooner, when each cell's
+Rows fill sooner, and so prune sooner, when each cell's
 neighbors are colored soon after it, so the engine colors cells in a
 greedy order that keeps completing neighborhoods, on the D4
 representative that `enumerate_colorings` picks. Colorings are still
@@ -88,7 +88,7 @@ from __future__ import annotations
 import atexit
 import os
 from dataclasses import dataclass, replace
-from operator import gt, itemgetter, le
+from operator import gt, itemgetter
 from typing import Optional
 
 from .coloring import CACHE_SIZE, Lattice, PeriodicColoring, _block, canonical, parse
@@ -214,8 +214,9 @@ def _split_depth(cells: int, colors: int, parts: int) -> int:
 
 class _Engine:
     """Backtracking state for part `part` of `parts` of one torus's tree;
-    trail-undone. An engine runs once: `seen` and `reps` carry over from
-    one run to the next. `nodes` counts the colors tried at a cell."""
+    trail-undone. An engine runs once, because `seen` and `reps` would
+    carry over into a second run. `nodes` counts the colors tried at a
+    cell."""
 
     def __init__(self, spec: SearchSpec, part: int = 0, parts: int = 1):
         self.spec = spec
@@ -230,32 +231,27 @@ class _Engine:
         # cells in the order the search colors them; `color` stays row-major
         self.order = _greedy_order(nbr)
         at = {c: depth for depth, c in enumerate(self.order)}
-        # cell u is complete, all its neighbors colored, from depth done[u] on
-        done = [max(at[u] for u in (i, *nb)) for i, nb in enumerate(nbr)]
         self.color = [0] * self.N
         # partial[u*m + d]: neighbors of u colored d+1. Tables by depth t
         # and d, for i = order[t] colored d+1: slots[t*m + d] are the
         # entries it raises; near[t*m + d] holds (u, entry, times u
-        # neighbors i, u complete at t) for each distinct colored neighbor
-        # u other than i, which gets the full check; closes[t] says whether
-        # i is complete at t.
+        # neighbors i) for each distinct colored neighbor u other than i,
+        # which gets the full check.
         self.partial = [0] * (self.N * m)
         self.slots = [
             tuple(u * m + d for u in nbr[i]) for i in self.order for d in range(m)
         ]
         self.near = [
             tuple(
-                (u, u * m + d, nbr[i].count(u), done[u] == t)
+                (u, u * m + d, nbr[i].count(u))
                 for u in dict.fromkeys(nbr[i])
                 if at[u] < t
             )
             for t, i in enumerate(self.order)
             for d in range(m)
         ]
-        self.closes = [done[i] == t for t, i in enumerate(self.order)]
         self.w = lat.w
         self.row0 = max(at[x] for x in range(lat.w))  # row 0 is colored here
-        self.estab: list[Optional[tuple[int, ...]]] = [None] * (m + 1)
         self.lmax = [0] * ((m + 1) * m)  # lmax[c*m + d]
         self.lsum = [0] * (m + 1)
         self.num_used = 0
@@ -279,22 +275,16 @@ class _Engine:
         Called after a step that placed color x and grew the trail, with
         color 1's bound as it was before the step. The step can lower
         that bound only by raising one of color 1's off-diagonal maxima,
-        and raise a lower bound only for x, through lmax[x*m + x-1];
-        establishing a row moves neither, as the row equals the maxima.
-        So only x needs a look unless color 1's bound fell.
+        and raise a lower bound only for x, through lmax[x*m + x-1].
+        So only x needs a look unless color 1's bound fell. A full color
+        keeps its maxima, which are its row, so for it the bounds are
+        the row entries; a step that grows no trail moves no bound.
         """
-        m, lmax, estab = self.m, self.lmax, self.estab
-        row = estab[1]
-        bound = row[0] if row else 4 - self.lsum[1] + lmax[m]
+        m, lmax = self.m, self.lmax
+        bound = 4 - self.lsum[1] + lmax[m]
         if bound == top:
-            if x == 1:
-                return True
-            row = estab[x]
-            return (row[x - 1] if row else lmax[x * m + x - 1]) <= bound
-        return all(
-            (estab[c][c - 1] if estab[c] else lmax[c * m + c - 1]) <= bound
-            for c in range(2, self.num_used + 1)
-        )
+            return x == 1 or lmax[x * m + x - 1] <= bound
+        return all(lmax[c * m + c - 1] <= bound for c in range(2, self.num_used + 1))
 
     def _row0_leads(self) -> bool:
         """Does no rotation of row 0, or of row 0 reversed, that starts
@@ -313,12 +303,14 @@ class _Engine:
         """Search below `depth`, entering only this part's split subtrees.
 
         Coloring cell i with x moves a colored neighbor's profile in
-        column x-1 only, and every colored cell stays within its color's
-        established row or `lmax`, so that column is all a neighbor needs
-        checked; cell i gets the full check. A complete cell u of a color
-        c with no row establishes it: u's profile sums to 4, and lies
-        within `lmax[c]`, whose sum is at most 4, so it equals `lmax[c]`
-        and fits every cell of color c.
+        column x-1 only, and every colored cell's profile stays within
+        its color's `lmax`, whose sum `lsum` stays at most 4, so that
+        column is all a neighbor needs checked; cell i gets the full
+        check. Once `lsum[c]` is 4 no entry of `lmax[c]` can rise, so the
+        sum test is the row test `partial + times <= lmax`, and cell i's
+        "raise, then `lsum <= 4`" is `p <= lmax`: a complete cell's
+        profile sums to 4 within maxima summing to at most 4, so the
+        maxima are the row every cell of the color must fit.
         """
         if depth == self.split:
             self.seen += 1
@@ -334,22 +326,18 @@ class _Engine:
         self.nodes += len(candidates)
         i, m = self.order[depth], self.m
         color, partial, lmax, lsum = self.color, self.partial, self.lmax, self.lsum
-        used, trail, estab = self.num_used, self.trail, self.estab
+        used, trail = self.num_used, self.trail
         slots, near_at = self.slots, self.near
-        first = estab[1]  # color 1's upper bound on S(1,1), for the diagonal rule
-        top = first[0] if first else 4 - lsum[1] + lmax[m]
+        top = 4 - lsum[1] + lmax[m]  # color 1's upper bound on S(1,1)
         for x in candidates:
             d, t = x - 1, depth * m + x - 1
             near = near_at[t]
-            # Reads only: x must fit each neighbor's row, established or
-            # bounded by its sum; the step raises no entry further.
-            for u, k, times, _ in near:
+            # Reads only: a neighbor's entry in column d may pass its
+            # color's maximum by at most what the row sum leaves free,
+            # nothing once the color is full.
+            for u, k, times in near:
                 c = color[u]
-                row = estab[c]
-                if row is None:
-                    if partial[k] + times - lmax[c * m + d] > 4 - lsum[c]:
-                        break
-                elif partial[k] + times > row[d]:
+                if partial[k] + times - lmax[c * m + d] > 4 - lsum[c]:
                     break
             else:
                 mark = len(trail)
@@ -357,34 +345,22 @@ class _Engine:
                 self.num_used = x if x > used else used
                 for k in slots[t]:
                     partial[k] += 1
-                for u, k, _, complete in near:
+                for u, k, _ in near:
                     c = color[u]
-                    if estab[c] is not None:
-                        continue
                     j = c * m + d
                     if partial[k] > lmax[j]:
                         trail.append((j << 3) + lmax[j])
                         lsum[c] += partial[k] - lmax[j]
                         lmax[j] = partial[k]
-                    if complete:
-                        estab[c] = tuple(partial[k - d : k - d + m])
-                        trail.append(-c)
                 p = partial[i * m : i * m + m]
-                row = estab[x]
-                if row is not None:
-                    fits = all(map(le, p, row))
-                else:
-                    j = x * m
-                    if any(map(gt, p, lmax[j : j + m])):
-                        for e, v in enumerate(p, j):
-                            if v > lmax[e]:
-                                trail.append((e << 3) + lmax[e])
-                                lsum[x] += v - lmax[e]
-                                lmax[e] = v
-                    fits = lsum[x] <= 4
-                    if fits and self.closes[depth]:
-                        estab[x] = tuple(p)
-                        trail.append(-x)
+                j = x * m
+                if any(map(gt, p, lmax[j : j + m])):
+                    for e, v in enumerate(p, j):
+                        if v > lmax[e]:
+                            trail.append((e << 3) + lmax[e])
+                            lsum[x] += v - lmax[e]
+                            lmax[e] = v
+                fits = lsum[x] <= 4
                 # the diagonal rule and the surjectivity cut can only newly
                 # fail if the trail grew
                 if (
@@ -400,22 +376,20 @@ class _Engine:
                 ):
                     self.run(depth + 1)
                 # Undo: the color, the partials and num_used are replayed;
-                # the trail holds lmax raises as (j << 3) + old and rows as -c.
+                # the trail holds lmax raises as (j << 3) + old.
                 color[i] = 0
                 for k in slots[t]:
                     partial[k] -= 1
                 self.num_used = used
                 while len(trail) > mark:
                     e = trail.pop()
-                    if e < 0:
-                        estab[-e] = None
-                    else:
-                        lsum[(e >> 3) // m] -= lmax[e >> 3] - (e & 7)
-                        lmax[e >> 3] = e & 7
+                    lsum[(e >> 3) // m] -= lmax[e >> 3] - (e & 7)
+                    lmax[e >> 3] = e & 7
 
     def _leaf(self) -> None:
-        k, q = self.num_used, self.spec.quotient
-        S = [self.estab[c][:k] for c in range(1, k + 1)]  # every used color has one
+        k, m, q = self.num_used, self.m, self.spec.quotient
+        # every color is full, so its maxima are its row
+        S = [tuple(self.lmax[c * m : c * m + k]) for c in range(1, k + 1)]
         if q is not None and not matrices_conjugate(S, q):
             return
         text = "".join(map(chr, self.color))
