@@ -50,12 +50,11 @@ diagonal rule can reject. Undo replays the step for colors and
 profiles; only raised maxima go on an int trail. The tables the step
 reads are laid out by depth in the cell order.
 
-Rows fill sooner, and so prune sooner, when each cell's
-neighbors are colored soon after it, so the engine colors cells in a
-greedy order that keeps completing neighborhoods, on the D4
-representative that `enumerate_colorings` picks. Colorings are still
-stored row-major, so the order changes only how fast the search runs,
-never what it returns.
+Rows fill sooner, and so prune sooner, when each cell's neighbors are
+colored soon after it, so the engine colors cells in a greedy order that
+keeps completing neighborhoods, on the D4 representative that
+`enumerate_colorings` picks. Colorings are still stored row-major, so
+the order changes only how fast the search runs, never what it returns.
 
 With `jobs` > 1, `_enumerate` splits the tree into 4 * jobs parts. Part
 p numbers the subtrees it enters at one split depth, in search order,

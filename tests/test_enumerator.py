@@ -211,6 +211,26 @@ def test_quotient_constraint_filters():
     assert len(constrained) == 1
 
 
+def test_quotient_constraint_matches_the_lax_search():
+    """The leaf reads each color's row off its partial maxima; the filter
+    on them keeps exactly the lax colorings whose quotient, computed from
+    the coloring, is conjugate to the target. The lax run with the target
+    reaches leaves with fewer colors than its budget."""
+    count = 0
+    for lat in _lattices_up_to_index(10):
+        top = min(3, lat.index)
+        lax = _enumerate(SearchSpec(lat, top, surjective=False), 1)
+        for Q in {quotient(F) for F in lax}:
+            count += 1
+            want = {canonical(F) for F in lax if matrices_conjugate(quotient(F), Q)}
+            for sp in (
+                SearchSpec(lat, len(Q), quotient=Q),
+                SearchSpec(lat, top, quotient=Q, surjective=False),
+            ):
+                assert {canonical(F) for F in _enumerate(sp, 1)} == want, (sp, Q)
+    assert count == 337
+
+
 def test_parallel_jobs_agree(no_kept_pool):
     sp = spec(4, 0, 2, 4, surjective=False)
     assert _enumerate(sp, jobs=1) == _enumerate(sp, jobs=2)
