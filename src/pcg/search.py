@@ -65,14 +65,15 @@ keep no state, so the parts keep the serial run's leaves. A serial run
 is one part of one, and so is a search whose split depth reaches the
 cell count, where every part would walk the whole tree.
 
-The parts run on a pool of `jobs` worker processes, `jobs` capped at the
-CPUs this process may run on. The first search that needs the pool
-starts it, and later searches with the same capped `jobs` reuse it; one
-with another `jobs` terminates it and starts a new one. A search that
-raises, a task's error or an interrupt, terminates it too, so no later
-search waits behind stale tasks, and interpreter exit terminates it.
-Where the workers are forked, they run the code as it was when the pool
-started: a later change to this module's globals does not reach them.
+The parts run in `jobs` processes, `jobs` capped at the CPUs this
+process may run on: the caller and `jobs - 1` children forked from it
+after it builds one engine, so every process inherits that engine. Each
+reads part numbers off one pipe until it is empty, runs each part on the
+engine, whose undo restores its state after every run, and keeps the
+leaves of all its parts. The children send their canonical forms back
+with `marshal` and leave through `os._exit`; `_enumerate` reaps them
+before it returns or raises, so no process outlives a search. Where
+there is no `os.fork` (Windows), `jobs` is 1.
 
 The eight point maps of the grid (the group D4) carry the perfect
 colorings of one torus onto those of its images, and canonical forms do
@@ -84,11 +85,11 @@ lattice; `_enumerate` is the search itself, uncached.
 
 from __future__ import annotations
 
-import atexit
+import marshal
 import os
 from dataclasses import dataclass, replace
 from operator import gt, itemgetter
-from typing import Optional
+from typing import BinaryIO, Optional
 
 from .coloring import CACHE_SIZE, Lattice, PeriodicColoring, _block, canonical, parse
 from .coloring import _d4_images
@@ -213,9 +214,9 @@ def _split_depth(cells: int, colors: int, parts: int) -> int:
 
 class _Engine:
     """Backtracking state for part `part` of `parts` of one torus's tree;
-    trail-undone. An engine runs once, because `seen` and `reps` would
-    carry over into a second run. `nodes` counts the colors tried at a
-    cell."""
+    trail-undone. An engine runs once per part: set `part`, reset `seen`
+    and run again, and `reps` collects the leaves over the parts one
+    process runs. `nodes` counts the colors tried at a cell."""
 
     def __init__(self, spec: SearchSpec, part: int = 0, parts: int = 1):
         self.spec = spec
@@ -442,10 +443,9 @@ def enumerate_colorings(
     otherwise up to max_colors. A quotient constraint accepts a
     coloring when its matrix equals the given one up to a simultaneous
     permutation of the colors. jobs > 1 splits the search tree across
-    a pool of worker processes, never more than the CPUs this process
-    may run on; it changes only the speed, never the result. The pool
-    is kept for later searches with the same capped jobs, replaced for
-    another, and terminated at exit (see the module docstring).
+    processes forked for this search, never more than the CPUs this
+    process may run on; it changes only the speed, never the result
+    (see the module docstring).
 
     Results are memoised per D4 class of the lattice (see the module
     docstring): the search runs on the class's least lattice, and the
@@ -468,26 +468,72 @@ def _enumerate(spec: SearchSpec, jobs: int) -> tuple[PeriodicColoring, ...]:
     there, but the search may be slower: 8x4 with 4 colors visits
     327,453 nodes, its representative 4x8 only 24,393.
     """
-    jobs = min(jobs, _cpus())
+    jobs = min(jobs, _cpus()) if hasattr(os, "fork") else 1
     parts = 4 * jobs
     cells = spec.lattice.index
     # a split at the cell count gives every part the whole tree to walk
     if jobs <= 1 or _split_depth(cells, spec.max_colors, parts) == cells:
         return _finish(_search(spec))
-    pool = _pools.get(jobs)
-    if pool is None:
-        _stop_pools()
-        import multiprocessing  # only the pool path pays for it
-
-        pool = _pools[jobs] = multiprocessing.Pool(jobs)
-    tasks = [(spec, part, parts) for part in range(parts)]
+    eng = _Engine(spec, 0, parts)
+    queue = _part_queue(parts)
+    children: list[tuple[int, BinaryIO]] = []  # pid, read end of its result pipe
     try:
-        found = pool.starmap(_search, tasks, chunksize=1)
-    except BaseException:
-        # a later search must not wait behind this one's tasks
-        _stop_pools()
-        raise
-    return _finish(set().union(*found))
+        for _ in range(jobs - 1):
+            children.append(_fork(eng, queue))
+        found = _run_parts(eng, queue)
+        for _, pipe in children:
+            out = pipe.read()  # a child writes once, then exits
+            ok, got = marshal.loads(out) if out else (False, "exited without a result")
+            if not ok:
+                raise RuntimeError(f"a --jobs worker failed: {got}")
+            found |= got
+    finally:
+        os.close(queue)
+        # a child not yet reaped keeps its pid, so the kill reaches no other
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL; importing signal would take 1 ms
+            os.waitpid(pid, 0)
+    return _finish(found)
+
+
+def _part_queue(parts: int) -> int:
+    """The read end of a pipe that holds 0..parts-1, 2 bytes each."""
+    r, w = os.pipe()
+    os.write(w, b"".join(p.to_bytes(2, "little") for p in range(parts)))
+    os.close(w)
+    return r
+
+
+def _run_parts(eng: _Engine, queue: int) -> set[str]:
+    """Run `eng` on each part whose number this process reads off
+    `queue`, until it is empty; the canonical forms of the leaves. Every
+    read takes 2 bytes, so each takes one whole number."""
+    while record := os.read(queue, 2):
+        eng.part, eng.seen = int.from_bytes(record, "little"), 0
+        eng.run()
+    return eng.canonicals()
+
+
+def _fork(eng: _Engine, queue: int) -> tuple[int, BinaryIO]:
+    """Fork a child that runs `_run_parts` and writes (True, its result)
+    or (False, error text) with marshal to a pipe; the child's pid and
+    the pipe's read end. The child leaves only through os._exit, so it
+    never returns into the caller's code nor flushes its buffers."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(w)
+        return pid, open(r, "rb")
+    try:
+        try:
+            out = (True, _run_parts(eng, queue))
+        except BaseException as e:
+            out = (False, f"{type(e).__name__}: {e}")
+        with open(w, "wb") as f:
+            f.write(marshal.dumps(out))
+    finally:
+        os._exit(0)
 
 
 def _cpus() -> int:
@@ -495,14 +541,3 @@ def _cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-# The --jobs pool by its size, at most one, kept from search to search.
-_pools: dict = {}
-
-
-@atexit.register
-def _stop_pools() -> None:
-    """Terminate the kept pool, if there is one, and forget it."""
-    while _pools:
-        _pools.popitem()[1].terminate()

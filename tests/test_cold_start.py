@@ -6,8 +6,10 @@ imported can hide a module that the CLI loads, or fails to load."""
 import ast
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -18,9 +20,10 @@ from pcg.coloring import render
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Loaded only by the commands that use them: `--jobs` > 1, `stationary`
-# and `fixture`.
-LAZY = ("multiprocessing", "fractions", "pcg.fixtures")
+# Loaded only by the commands that use them: `stationary` and `fixture`.
+LAZY = ("fractions", "pcg.fixtures")
+# Loaded by no command: `--jobs` forks its workers with os.fork.
+NEVER = ("multiprocessing",)
 
 # Imports pcg.cli, reports the loaded modules and the functions each pcg
 # module defines, then runs the argv lists read from stdin in the same
@@ -73,7 +76,7 @@ def perfbench_layers() -> dict[str, str]:
 
 def test_import_skips_what_no_command_needs_at_start():
     loaded = set(cold()["loaded"])
-    assert [name for name in LAZY if name in loaded] == []
+    assert [name for name in LAZY + NEVER if name in loaded] == []
 
 
 def test_import_loads_every_perfbench_layer():
@@ -95,16 +98,13 @@ def test_lazy_commands_run_from_a_cold_start(tmp_path, capsys):
         want.append([code, capsys.readouterr().out])
     assert got["runs"] == want
     assert want[1] == [0, "1 1/4\n2 1/8\n3 1/8\n4 1/2\n"]
-    assert {"fractions", "pcg.fixtures"} <= set(got["after"])
-    # --jobs is capped at the CPUs this process may run on, so one CPU
-    # never starts the pool
-    pooled = search._cpus() > 1
-    assert ("multiprocessing" in got["after"]) == pooled
+    assert set(LAZY) <= set(got["after"])
+    assert [name for name in NEVER if name in got["after"]] == []
 
 
 def test_jobs_leave_no_process_behind(capsys):
-    """Two --jobs searches in one fresh interpreter share its pool, which
-    is gone, with every worker, once the interpreter has exited."""
+    """Two --jobs searches in one fresh interpreter leave no process in
+    its group once the interpreter has exited."""
     shapes = [["--width", "4", "--height", "8", "--colors", "4"],
               ["--width", "4", "--height", "6", "--colors", "5"]]
     want = []
@@ -124,5 +124,33 @@ def test_jobs_leave_no_process_behind(capsys):
     out, _ = proc.communicate(json.dumps(argvs), timeout=120)
     assert proc.returncode == 0
     assert json.loads(out)["runs"] == want
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+@pytest.mark.skipif(search._cpus() < 2, reason="--jobs 2 forks only on 2 CPUs or more")
+@pytest.mark.parametrize("kill", [os.killpg, os.kill], ids=["group", "caller"])
+def test_an_interrupted_search_leaves_no_process_behind(kill):
+    """SIGINT about 0.5 s into a `--jobs 2` search of 1.3 s (on 2 vCPUs),
+    to its process group as Ctrl-C sends it, or to the caller alone, whose
+    child then runs on until the caller kills it: the command exits, and
+    no child outlives it."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = ["enumerate", "--width", "8", "--height", "8", "--colors", "5", "--jobs", "2"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pcg", *argv],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        env=env,
+        start_new_session=True,
+    )
+    try:
+        time.sleep(0.5)
+        kill(proc.pid, signal.SIGINT)
+        proc.wait(timeout=10)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)

@@ -2,9 +2,9 @@
 
 import hashlib
 import itertools
-import multiprocessing
 import os
 import pickle
+import time
 from dataclasses import replace
 
 import pytest
@@ -231,26 +231,16 @@ def test_quotient_constraint_matches_the_lax_search():
     assert count == 337
 
 
-def test_parallel_jobs_agree(no_kept_pool):
+def test_parallel_jobs_agree():
     sp = spec(4, 0, 2, 4, surjective=False)
     assert _enumerate(sp, jobs=1) == _enumerate(sp, jobs=2)
 
 
-def test_parallel_jobs_agree_off_row_major(no_kept_pool):
+def test_parallel_jobs_agree_off_row_major():
     # the split numbers subtrees in the search order, which is not row-major here
     sp = spec(8, 2, 2, 4, surjective=False)
     assert _Engine(sp).order != list(range(16))
     assert _enumerate(sp, jobs=1) == _enumerate(sp, jobs=2)
-
-
-@pytest.fixture
-def no_kept_pool():
-    """No kept --jobs pool before or after the test, so a test that
-    patches multiprocessing.Pool sees the pools it asserts on, and no
-    test leaves its workers to the next."""
-    search._stop_pools()
-    yield
-    search._stop_pools()
 
 
 @pytest.fixture
@@ -265,101 +255,149 @@ def cpus(monkeypatch):
 
 
 @pytest.fixture
-def inline_pool(no_kept_pool, monkeypatch):
-    """Pools that run their tasks in this process; the size of each."""
-    sizes = []
+def forks(monkeypatch):
+    """The pid of every child the search forks from now on."""
+    pids = []
+    fork = os.fork
 
-    class InlinePool:
-        def __init__(self, processes):
-            sizes.append(processes)
-            self.terminated = False
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-        def starmap(self, fn, args, chunksize):
-            return list(itertools.starmap(fn, args))
-
-        def terminate(self):
-            self.terminated = True
-
-    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
-    return sizes
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
 
 
-def test_jobs_capped_at_cpu_count(inline_pool, cpus):
+def no_fork():
+    raise AssertionError("this search must not fork")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_jobs_capped_at_cpu_count(forks, cpus):
     cpus(3)
     sp = spec(4, 0, 2, 4, surjective=False)
     assert _enumerate(sp, jobs=64) == _enumerate(sp, jobs=1)
-    assert inline_pool == [3]
+    assert len(forks) == 2  # the caller runs parts too
 
 
-def test_jobs_capped_at_cpu_count_without_affinity(inline_pool, monkeypatch):
+def test_jobs_capped_at_cpu_count_without_affinity(forks, monkeypatch):
     # platforms without sched_getaffinity fall back to os.cpu_count()
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     sp = spec(4, 0, 2, 4, surjective=False)
     assert _enumerate(sp, jobs=64) == _enumerate(sp, jobs=1)
-    assert inline_pool == [3]
+    assert len(forks) == 2
 
 
-def test_jobs_on_an_empty_tree_find_nothing(inline_pool, cpus):
+def test_jobs_on_an_empty_tree_find_nothing(forks, cpus):
     """A 3x2 torus has no perfect coloring with 5 colors: every part of
     the split comes back empty."""
     cpus(2)
     assert _enumerate(SearchSpec(Lattice(3, 0, 2), 5), jobs=2) == ()
-    assert inline_pool == [2]
+    assert len(forks) == 1
 
 
-def test_searches_with_one_jobs_share_one_pool(inline_pool, cpus):
+def test_jobs_without_fork_run_in_process(cpus, monkeypatch):
+    """Where the platform has no os.fork (Windows), jobs is 1."""
+    monkeypatch.delattr(os, "fork")
     cpus(2)
-    a, b = spec(4, 0, 2, 4, surjective=False), spec(3, 0, 3, 3, surjective=False)
-    assert _enumerate(a, jobs=2) == _enumerate(a, jobs=1)
-    assert _enumerate(b, jobs=2) == _enumerate(b, jobs=1)
-    assert inline_pool == [2]
-    assert not search._pools[2].terminated
-
-
-def test_another_jobs_replaces_the_pool(inline_pool, cpus):
-    cpus(3)
     sp = spec(4, 0, 2, 4, surjective=False)
-    want = _enumerate(sp, jobs=1)
-    assert _enumerate(sp, jobs=2) == want
-    first = search._pools[2]
-    assert _enumerate(sp, jobs=3) == want
-    # 8 is capped at the 3 CPUs, so it keeps the pool of 3
-    assert _enumerate(sp, jobs=8) == want
-    assert inline_pool == [2, 3]
-    assert first.terminated and list(search._pools) == [3]
-    assert not search._pools[3].terminated
-
-
-def test_a_failed_search_keeps_no_pool(no_kept_pool, cpus, monkeypatch):
-    """A task that raises reaches the caller and terminates the pool, so
-    no later search waits behind the failed one's tasks."""
-    if multiprocessing.get_start_method() != "fork":
-        pytest.skip("workers see the patched engine only when forked")
-    cpus(2)
-
-    def fail(self, depth=0):
-        raise RuntimeError("task failed")
-
-    # patched before the pool forks, so the workers run it
-    monkeypatch.setattr(_Engine, "run", fail)
-    sp = spec(4, 0, 2, 4, surjective=False)
-    with pytest.raises(RuntimeError, match="task failed"):
-        _enumerate(sp, jobs=2)
-    assert search._pools == {}
-    monkeypatch.undo()
-    cpus(2)
     assert _enumerate(sp, jobs=2) == _enumerate(sp, jobs=1)
 
 
-def test_a_split_at_the_cell_count_runs_in_process(no_kept_pool, cpus, monkeypatch):
+def test_a_search_leaves_no_child(cpus, monkeypatch):
+    """Neither a search that returns nor one that raises leaves a child,
+    even one still running when the caller fails."""
+    cpus(2)
+    sp = spec(4, 0, 2, 4, surjective=False)
+    assert _enumerate(sp, jobs=2) == _enumerate(sp, jobs=1)
+    assert_no_child_left()
+    caller = os.getpid()
+
+    def stall_or_fail(self):
+        if os.getpid() != caller:
+            time.sleep(60)
+        raise RuntimeError("the caller failed")
+
+    monkeypatch.setattr(_Engine, "canonicals", stall_or_fail)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="the caller failed"):
+        _enumerate(sp, jobs=2)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+def _raise_in_child():
+    raise RuntimeError("task failed")
+
+
+def _exit_in_child():
+    os._exit(3)
+
+
+@pytest.mark.parametrize(
+    "fail, message",
+    [(_raise_in_child, "RuntimeError: task failed"),
+     (_exit_in_child, "exited without a result")],
+    ids=["raises", "exits"],
+)
+def test_a_failed_child_reaches_the_caller(cpus, monkeypatch, fail, message):
+    """A child that raises, or exits without writing, makes the search
+    raise with the child's message, not hang; no child is left, and the
+    next search runs as before. Every child takes the canonical forms of
+    its leaves, whether or not it got a part."""
+    cpus(2)
+    caller, canonicals = os.getpid(), _Engine.canonicals
+
+    def canonicals_or_fail(self):
+        if os.getpid() != caller:
+            fail()
+        return canonicals(self)
+
+    monkeypatch.setattr(_Engine, "canonicals", canonicals_or_fail)
+    sp = spec(4, 0, 2, 4, surjective=False)
+    with pytest.raises(RuntimeError, match=message):
+        _enumerate(sp, jobs=2)
+    assert_no_child_left()
+    monkeypatch.setattr(_Engine, "canonicals", canonicals)
+    assert _enumerate(sp, jobs=2) == _enumerate(sp, jobs=1)
+
+
+def test_the_part_queue_hands_out_more_than_255_parts():
+    """4 * jobs parts pass 255 on a host with more than 63 CPUs. Read
+    in-process, with no fork, the queue hands out each of 320 part
+    numbers once, each run with `seen` reset; one engine that runs them
+    all keeps the serial leaves."""
+    sp = spec(4, 0, 4, 4, surjective=False)
+    ran = []
+
+    class Logged(_Engine):
+        def run(self, depth=0):
+            if depth == 0:
+                ran.append((self.part, self.seen))
+            super().run(depth)
+
+    eng = Logged(sp, 0, 320)
+    assert eng.split < 16
+    queue = search._part_queue(320)
+    try:
+        got = search._run_parts(eng, queue)
+    finally:
+        os.close(queue)
+    assert sorted(ran) == [(part, 0) for part in range(320)]
+    assert got == search._search(sp)
+
+
+def test_a_split_at_the_cell_count_runs_in_process(cpus, monkeypatch):
     """With one color the split depth is the cell count, where every
-    part would build an engine and walk the whole one-leaf tree."""
-
-    def no_pool(processes):
-        raise AssertionError("a split at the cell count must not start processes")
-
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    part would walk the whole one-leaf tree."""
+    monkeypatch.setattr(os, "fork", no_fork)
     cpus(2)
     assert search._split_depth(900, 1, 8) == 900
     got = _enumerate(spec(30, 0, 30, 1), jobs=2)
@@ -376,21 +414,11 @@ def test_split_with_one_color_keeps_the_coloring(parts):
     assert sorted(map(len, found)) == [0] * (parts - 1) + [1]
 
 
-def test_spawned_workers_unpickle_the_spec(no_kept_pool, cpus, monkeypatch):
-    """The pool path is the one that pickles the spec, and so its slotted
-    Lattice; spawn, macOS's default start method, unpickles it in a fresh
-    interpreter."""
+def test_a_spec_survives_pickling():
+    """A frozen, slotted Lattice pickles through the support dataclasses
+    gives such classes, so a spec can go to a spawned process."""
     sp = spec(4, 0, 4, 3)
     assert pickle.loads(pickle.dumps(sp)) == sp
-    serial = _enumerate(sp, jobs=1)
-    spawn = multiprocessing.get_context("spawn").Pool
-    pools = []
-    monkeypatch.setattr(
-        multiprocessing, "Pool", lambda *a, **kw: pools.append(a) or spawn(*a, **kw)
-    )
-    cpus(2)
-    assert _enumerate(sp, jobs=2) == serial
-    assert len(pools) == 1 and len(serial) == 11
 
 
 def nodes(sp):
@@ -483,10 +511,11 @@ def _flat(rows):
 def test_leaf_dedup_keeps_one_coloring_per_translation_class(data):
     """Against the least-translation key of tests/oracle.py: the engine
     keeps one leaf of each class it reaches, or of the class's 180-degree
-    turn, and never two of one class. Split into parts, each run on a fresh
-    engine as a --jobs task is, the parts keep the serial leaves between
-    them, each in one part; and the leaf rule rejects every renamed
-    translate of a kept leaf but the leaf itself."""
+    turn, and never two of one class. Split into parts, run one after
+    another on one engine as a --jobs process runs its parts, the parts
+    keep the serial leaves between them, each in one part; and the leaf
+    rule rejects every renamed translate of a kept leaf but the leaf
+    itself."""
     lat = data.draw(st.sampled_from(_lattices_up_to_index(12)), label="lattice")
     sp = SearchSpec(
         lat,
@@ -512,11 +541,11 @@ def test_leaf_dedup_keeps_one_coloring_per_translation_class(data):
     assert set(kept) <= classes <= set(kept) | turned
 
     parts = data.draw(st.integers(1, 6), label="parts")
-    split = []
+    worker, split = _Engine(sp, 0, parts), []
     for part in range(parts):
-        worker = _Engine(sp, part, parts)
+        worker.part, worker.seen, start = part, 0, len(worker.reps)
         worker.run()
-        split.append(worker.reps)
+        split.append(worker.reps[start:])
     assert sorted(itertools.chain(*split)) == sorted(eng.reps)
     for a, b in itertools.combinations(split, 2):
         assert not set(a) & set(b)
@@ -569,11 +598,9 @@ def test_searches_run_only_on_d4_representatives(engines):
     assert engines and all(sp == _d4_representative(sp) for sp in engines)
 
 
-def test_jobs_is_not_part_of_the_memo_key(engines, no_kept_pool, monkeypatch):
-    def no_pool(processes):
-        raise AssertionError("a memo hit must not start processes")
-
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+def test_jobs_is_not_part_of_the_memo_key(engines, monkeypatch):
+    # a memo hit must not start processes
+    monkeypatch.setattr(os, "fork", no_fork)
     sp = spec(4, 0, 2, 4, surjective=False)
     want = enumerate_colorings(sp)
     assert enumerate_colorings(sp, jobs=2) == want
